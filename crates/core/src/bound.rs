@@ -7,8 +7,8 @@
 use crate::pipeline::{KcSimulator, ValueState};
 use qkc_circuit::{ParamMap, UnboundParam};
 use qkc_knowledge::{
-    AcWeights, AcWeightsBatch, DiffCone, GibbsOptions, GibbsSampler, QueryVar, TangentPlan,
-    TapeEvaluator,
+    AcWeights, AcWeightsBatch, DiffCone, GibbsCounts, GibbsOptions, GibbsSampler, QueryVar,
+    TangentPlan, TapeEvaluator,
 };
 use qkc_math::{CMatrix, Complex, C_ONE, C_ZERO};
 use std::cell::RefCell;
@@ -412,6 +412,7 @@ impl<'a> BoundKc<'a> {
             sampler,
             value_maps,
             num_outputs: self.sim.num_outputs(),
+            reported: GibbsCounts::default(),
         }
     }
 
@@ -427,6 +428,7 @@ impl<'a> BoundKc<'a> {
             sampler,
             value_maps,
             num_outputs: self.sim.num_outputs(),
+            reported: GibbsCounts::default(),
         }
     }
 
@@ -728,21 +730,38 @@ pub struct KcSampler<'a> {
     /// For each query var: chain-state index → actual domain value.
     value_maps: Vec<Vec<usize>>,
     num_outputs: usize,
+    /// The chain's counts as of the last telemetry report.
+    reported: GibbsCounts,
 }
 
 impl<'a> KcSampler<'a> {
     /// Draws `count` output bitstrings, taking `thin` coordinate updates
     /// between records.
+    ///
+    /// Adds the chain's transitions since the previous call (construction
+    /// warm-up included in the first) to the `gibbs/*` telemetry counters:
+    /// `gibbs/steps`, split into `gibbs/held`, `gibbs/pass/delta`,
+    /// `gibbs/pass/full` and `gibbs/mh/proposed`, plus
+    /// `gibbs/mh/accepted` (see [`GibbsCounts`]).
     pub fn sample_outputs(&mut self, count: usize, thin: usize) -> Vec<usize> {
         let maps = self.value_maps.clone();
         let n = self.num_outputs;
-        self.sampler.sample_with(count, thin, move |state| {
+        let out = self.sampler.sample_with(count, thin, move |state| {
             let mut x = 0usize;
             for (i, map) in maps.iter().take(n).enumerate() {
                 x |= map[state[i]] << (n - 1 - i);
             }
             x
-        })
+        });
+        let now = self.sampler.counts();
+        let last = std::mem::replace(&mut self.reported, now);
+        qkc_telemetry::count("gibbs/steps", now.steps - last.steps);
+        qkc_telemetry::count("gibbs/held", now.held - last.held);
+        qkc_telemetry::count("gibbs/pass/delta", now.delta - last.delta);
+        qkc_telemetry::count("gibbs/pass/full", now.full - last.full);
+        qkc_telemetry::count("gibbs/mh/proposed", now.mh_proposed - last.mh_proposed);
+        qkc_telemetry::count("gibbs/mh/accepted", now.mh_accepted - last.mh_accepted);
+        out
     }
 
     /// The chain's current full assignment in domain values

@@ -3,17 +3,36 @@
 //! The chain's state assigns a value to every query variable — final qubit
 //! states *and* noise/measurement RVs (the paper's transition list for the
 //! Bell example flips `q0m2rv` alongside the qubit states). One coordinate
-//! update costs a single upward + downward pass: the downward differentials
-//! give the amplitude of every single-variable reassignment at once, and the
-//! new value is drawn proportionally to `|amplitude|²`.
+//! update costs at most one upward + downward pass: the downward
+//! differentials give the amplitude of every single-variable reassignment
+//! at once, and the new value is drawn proportionally to `|amplitude|²`.
 //!
-//! Transitions run on the flat [`AcTape`] through a persistent
-//! [`TapeEvaluator`], so a step performs zero allocations: the value /
+//! Transitions run on the flat [`AcTape`] through persistent
+//! [`TapeEvaluator`]s, so a step performs zero allocations: the value /
 //! partial buffers, the conditional-probability column, and the MH proposal
 //! scratch are all owned by the sampler. [`GibbsSampler::new_enum_walk`]
 //! keeps the original enum-arena kernels as a reference implementation —
 //! both produce bit-identical chains for the same seed, which the
 //! equivalence tests assert.
+//!
+//! # Cost per step
+//!
+//! On the tape kernel every transition is exactly one of four kinds,
+//! counted in [`GibbsCounts`]:
+//!
+//! * **held** — no pass. The evidence has not changed since the last
+//!   differential pass (the previous update resampled its variable's
+//!   current value, or a proposal was rejected), so the partials are
+//!   still exact.
+//! * **delta** — the previous update moved its variable: the upward pass
+//!   recomputes that variable's dirty cone, then a full downward sweep.
+//! * **full** — the first update after construction or after an accepted
+//!   proposal that moved the state: a full upward and downward pass.
+//! * **MH proposal** — one demand-driven upward pass on a side evaluator.
+//!   A proposal assigns every query variable, so most products meet a zero
+//!   literal and the pass skips the subtrees they never read. The chain's
+//!   own evaluator is untouched, so a rejected proposal leaves its partials
+//!   and pending delta list valid and costs nothing more.
 
 use crate::evaluate::{evaluate, evaluate_with_differentials, sample_model, AcWeights};
 use crate::nnf::Nnf;
@@ -45,6 +64,11 @@ pub struct GibbsOptions {
     pub warmup: usize,
     /// Coordinate updates between recorded samples (1 = record after every
     /// update).
+    ///
+    /// The sampler never reads this field: [`GibbsSampler::sample_with`]
+    /// takes the thinning as an argument, so callers pass it there. The
+    /// field stays for callers that keep their thinning in the options
+    /// (the `vqbench` replay among them).
     pub thin: usize,
     /// RNG seed.
     pub seed: u64,
@@ -57,6 +81,11 @@ pub struct GibbsOptions {
     /// the paper's §3.3.3. The MH move keeps the stationary distribution
     /// exact while making the chain irreducible over the full support. Set
     /// to 0 for the paper-faithful plain Gibbs kernel.
+    ///
+    /// Cost: each proposal pays one demand-driven upward pass on a side
+    /// evaluator. Only an accepted proposal that moves the state costs
+    /// more: the next coordinate update then runs a full upward and
+    /// downward pass instead of a delta pass (see [`GibbsCounts`]).
     pub mh_restart_prob: f64,
 }
 
@@ -81,21 +110,43 @@ impl Default for GibbsOptions {
 enum Kernel<'a> {
     Tape {
         tape: &'a AcTape,
+        /// The chain's differential buffers: full-product values and
+        /// partials, valid for the weights of its last pass plus the
+        /// changes listed below.
         eval: TapeEvaluator,
+        /// Side evaluator for whole-assignment amplitudes (MH proposals,
+        /// start states), so those never disturb `eval`.
+        side: TapeEvaluator,
         /// CNF variables whose weights changed since the last differential
         /// pass — the delta set the next pass recomputes the cone of.
         changed: Vec<u32>,
-        /// Too many changes to track (initialization, MH proposals):
-        /// the next differential pass runs in full.
+        /// Too many changes to track (initialization, accepted MH
+        /// proposals): the next differential pass runs in full.
         changed_full: bool,
-        /// The evaluator's partials still describe the current weights
-        /// (no weight change since the last differential pass), so a
-        /// rejected/held move can reuse them without any pass at all.
-        diffs_fresh: bool,
     },
     EnumWalk {
         nnf: &'a Nnf,
     },
+}
+
+/// How a chain's transitions were served, counted since construction
+/// (warm-up included). Every transition is exactly one of `held`, `delta`,
+/// `full` or `mh_proposed`, so those four sum to `steps`. On the
+/// enum-walk reference kernel every coordinate update counts as `full`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GibbsCounts {
+    /// Transitions taken.
+    pub steps: u64,
+    /// Coordinate updates that reused the previous partials: no pass.
+    pub held: u64,
+    /// Coordinate updates that ran a delta differential pass.
+    pub delta: u64,
+    /// Coordinate updates that ran a full differential pass.
+    pub full: u64,
+    /// Metropolis–Hastings proposals, one upward pass each.
+    pub mh_proposed: u64,
+    /// Proposals accepted.
+    pub mh_accepted: u64,
 }
 
 /// A Gibbs sampler over a smoothed arithmetic circuit.
@@ -116,7 +167,7 @@ pub struct GibbsSampler<'a> {
     /// Model-sampling scratch for chain initialization.
     model_lits: Vec<Lit>,
     rng: StdRng,
-    steps_taken: u64,
+    counts: GibbsCounts,
     moves_accepted: u64,
     mh_restart_prob: f64,
     /// |amplitude|² of the current state, kept in sync across moves.
@@ -150,9 +201,9 @@ impl<'a> GibbsSampler<'a> {
             Kernel::Tape {
                 tape,
                 eval: TapeEvaluator::new(),
+                side: TapeEvaluator::new(),
                 changed: Vec::new(),
                 changed_full: true,
-                diffs_fresh: false,
             },
             base_weights,
             vars,
@@ -199,7 +250,7 @@ impl<'a> GibbsSampler<'a> {
             saved_state: Vec::new(),
             model_lits: Vec::new(),
             rng,
-            steps_taken: 0,
+            counts: GibbsCounts::default(),
             moves_accepted: 0,
             mh_restart_prob: options.mh_restart_prob,
             current_density: 0.0,
@@ -312,11 +363,16 @@ impl<'a> GibbsSampler<'a> {
 
     /// Fraction of coordinate updates that changed the value.
     pub fn acceptance_rate(&self) -> f64 {
-        if self.steps_taken == 0 {
+        if self.counts.steps == 0 {
             0.0
         } else {
-            self.moves_accepted as f64 / self.steps_taken as f64
+            self.moves_accepted as f64 / self.counts.steps as f64
         }
+    }
+
+    /// How the transitions so far were served (warm-up included).
+    pub fn counts(&self) -> GibbsCounts {
+        self.counts
     }
 
     /// Sets the evidence weights for variable `i` to its current value.
@@ -345,9 +401,10 @@ impl<'a> GibbsSampler<'a> {
 
     /// One transition: with probability `mh_restart_prob` an independence
     /// MH move, otherwise a Gibbs coordinate update — pick a random unfixed
-    /// variable, compute the conditional |amplitude|² of each of its values
-    /// via one upward+downward pass, and resample it. Zero allocations on
-    /// the tape kernel.
+    /// variable, read the conditional |amplitude|² of each of its values
+    /// off the differentials (held, delta or full pass; see
+    /// [`GibbsCounts`]), and resample it. Zero allocations on the tape
+    /// kernel.
     pub fn step(&mut self) {
         if self.movable.is_empty() {
             return;
@@ -357,7 +414,7 @@ impl<'a> GibbsSampler<'a> {
             return;
         }
         let i = self.movable[self.rng.gen_range(0..self.movable.len())];
-        self.steps_taken += 1;
+        self.counts.steps += 1;
         // By Darwiche's differential semantics each value's literal
         // derivative is the amplitude with this variable re-assigned —
         // for binary nodes value 0's literal is `-v`, so one rule covers
@@ -370,25 +427,24 @@ impl<'a> GibbsSampler<'a> {
                 eval,
                 changed,
                 changed_full,
-                diffs_fresh,
+                ..
             } => {
-                // Weights unchanged since the last differential pass
-                // (previous update resampled the same value): the partials
-                // are still exact — skip both passes entirely. Otherwise
-                // recompute just the dirty cone of the variables that
-                // moved, falling back to a full pass after initialization
-                // or MH proposals. All three paths are bit-for-bit the
-                // full recompute the enum walk performs.
-                if !(*diffs_fresh && changed.is_empty() && !*changed_full) {
-                    if *changed_full {
-                        eval.differentials(tape, &self.weights);
-                    } else {
-                        eval.differentials_delta(tape, &self.weights, changed);
-                    }
-                    changed.clear();
-                    *changed_full = false;
-                    *diffs_fresh = true;
+                // A full pass after initialization or an accepted MH
+                // proposal; otherwise just the dirty cone of the variables
+                // that moved; and no pass at all when nothing moved since
+                // the last one (the partials are still exact). All three
+                // are bit-for-bit the full recompute the enum walk performs.
+                if *changed_full {
+                    eval.differentials(tape, &self.weights);
+                    self.counts.full += 1;
+                } else if !changed.is_empty() {
+                    eval.differentials_delta(tape, &self.weights, changed);
+                    self.counts.delta += 1;
+                } else {
+                    self.counts.held += 1;
                 }
+                changed.clear();
+                *changed_full = false;
                 self.probs.extend(
                     var.value_lits
                         .iter()
@@ -396,6 +452,7 @@ impl<'a> GibbsSampler<'a> {
                 );
             }
             Kernel::EnumWalk { nnf } => {
+                self.counts.full += 1;
                 let d = evaluate_with_differentials(nnf, &self.weights);
                 self.probs.extend(
                     var.value_lits
@@ -426,28 +483,24 @@ impl<'a> GibbsSampler<'a> {
         if let Kernel::Tape {
             changed,
             changed_full,
-            diffs_fresh,
             ..
         } = &mut self.kernel
         {
-            *diffs_fresh = false;
             if !*changed_full {
                 changed.extend(self.vars[i].value_lits.iter().map(|l| l.unsigned_abs()));
             }
         }
     }
 
-    /// Records a bulk weight change (initialization, MH proposals): the
-    /// tape kernel's next differential pass runs in full.
+    /// Records a bulk weight change (initialization, accepted MH
+    /// proposals): the tape kernel's next differential pass runs in full.
     fn note_weights_changed_all(&mut self) {
         if let Kernel::Tape {
             changed,
             changed_full,
-            diffs_fresh,
             ..
         } = &mut self.kernel
         {
-            *diffs_fresh = false;
             *changed_full = true;
             changed.clear();
         }
@@ -457,11 +510,16 @@ impl<'a> GibbsSampler<'a> {
     /// assignment; accept with probability `min(1, |amp(y)|²/|amp(x)|²)`
     /// (the proposal is symmetric/uniform, so the ratio is just the target
     /// density ratio).
+    ///
+    /// The proposal's amplitude comes from the side evaluator, so the
+    /// chain's differential buffers never see it. A rejection rewrites the
+    /// saved evidence, and since [`apply_evidence`](Self::apply_evidence)
+    /// writes constants the weights are back bit for bit: the buffers and
+    /// the pending delta list stay valid. Only an accepted proposal that
+    /// moved the state invalidates them.
     fn mh_move(&mut self) {
-        self.steps_taken += 1;
-        // The proposal rewrites every movable variable's evidence (and a
-        // rejection rewrites it back).
-        self.note_weights_changed_all();
+        self.counts.steps += 1;
+        self.counts.mh_proposed += 1;
         self.saved_state.clear();
         self.saved_state.extend_from_slice(&self.state);
         for mi in 0..self.movable.len() {
@@ -476,8 +534,10 @@ impl<'a> GibbsSampler<'a> {
             self.rng.gen::<f64>() < (new_density / self.current_density).min(1.0)
         };
         if accept {
+            self.counts.mh_accepted += 1;
             if self.state != self.saved_state {
                 self.moves_accepted += 1;
+                self.note_weights_changed_all();
             }
             self.current_density = new_density;
         } else {
@@ -507,9 +567,12 @@ impl<'a> GibbsSampler<'a> {
         out
     }
 
+    /// The current assignment's amplitude, on the tape kernel from a
+    /// demand-driven pass on the side evaluator (bit-for-bit the full
+    /// upward pass).
     fn amplitude_of_current_state(&mut self) -> Complex {
         match &mut self.kernel {
-            Kernel::Tape { tape, eval, .. } => eval.evaluate(tape, &self.weights),
+            Kernel::Tape { tape, side, .. } => side.evaluate_demand(tape, &self.weights),
             Kernel::EnumWalk { nnf } => evaluate(nnf, &self.weights),
         }
     }

@@ -57,7 +57,7 @@ pub use batch::{
 };
 pub use compiler::{compile, CompileOptions, CompileStats, Compiled};
 pub use evaluate::{evaluate, evaluate_with_differentials, AcWeights, Differentials};
-pub use gibbs::{GibbsOptions, GibbsSampler, QueryVar};
+pub use gibbs::{GibbsCounts, GibbsOptions, GibbsSampler, QueryVar};
 pub use lanes::{LaneBlock, LANE_WIDTH};
 pub use nnf::{Nnf, NnfBuilder, NnfId, NnfNode};
 pub use order::{compute_ranks, compute_ranks_balanced, VarOrder, DEFAULT_SEPARATOR_BALANCE};

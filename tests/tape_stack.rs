@@ -162,21 +162,26 @@ proptest! {
     }
 
     /// Gibbs chains on the tape kernel (delta differentials, free held
-    /// moves, cached model-sampling magnitudes) produce the identical
-    /// sample stream to the enum-walk kernel through the full stack.
+    /// moves, cached model-sampling magnitudes, MH proposals on the side
+    /// evaluator) produce the identical sample stream to the enum-walk
+    /// kernel through the full stack. Noise on every qubit and MH-heavy
+    /// mixes interleave rejected proposals over a pending delta list,
+    /// accepted proposals and held moves.
     #[test]
     fn gibbs_samples_match_enum_walk(
         instrs in proptest::collection::vec(arb_instr(2), 1..8),
         a in -3.0..3.0f64,
         b in -3.0..3.0f64,
         seed in 0u64..32,
+        mh_mix in 0usize..3,
     ) {
+        let mh_restart_prob = [0.0, 0.05, 0.5][mh_mix];
         let mut c = build(2, &instrs);
-        c.depolarize(0, 0.1);
+        c.depolarize(0, 0.1).depolarize(1, 0.1);
         let sim = KcSimulator::compile(&c, &Default::default());
         let p = params(a, b);
         let bound = sim.bind(&p).unwrap();
-        let options = GibbsOptions { warmup: 30, thin: 1, seed, ..Default::default() };
+        let options = GibbsOptions { warmup: 30, thin: 1, seed, mh_restart_prob };
         let tape_samples = bound.sampler(&options).sample_outputs(100, 1);
         let enum_samples = bound.sampler_enum_walk(&options).sample_outputs(100, 1);
         prop_assert_eq!(tape_samples, enum_samples);

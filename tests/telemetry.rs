@@ -14,8 +14,8 @@
 
 use qkc::circuit::{Circuit, Param, ParamMap};
 use qkc::engine::{
-    ArtifactCache, BackendKind, Engine, EngineOptions, KcBackend, PlanHint, Planner, SweepExecutor,
-    SweepPoint, SweepSpec,
+    ArtifactCache, Backend, BackendKind, Engine, EngineOptions, KcBackend, PlanHint, Planner,
+    SweepExecutor, SweepPoint, SweepSpec,
 };
 use qkc::telemetry;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -135,6 +135,54 @@ fn enabling_telemetry_never_changes_gradients() {
             );
         }
     }
+}
+
+#[test]
+fn gibbs_pass_mix_is_counted_and_never_changes_samples() {
+    let _guard = lock();
+    let circuit = noisy_sweep_circuit();
+    let params = ParamMap::from_pairs([("theta", 0.7)]);
+    let (warmup, thin, shots) = (100u64, 2u64, 500u64);
+    let sample = |enabled: bool| {
+        let _flag = FlagGuard::set(enabled);
+        // A zero enumeration budget sends the noisy circuit to the Gibbs
+        // chain instead of exact probabilities plus alias draws.
+        KcBackend::new(Arc::new(ArtifactCache::new()), Default::default())
+            .with_max_exact_log2_branches(0.0)
+            .with_gibbs(warmup as usize, thin as usize)
+            .sample(&circuit, &params, shots as usize, 17)
+            .expect("gibbs sample")
+    };
+    let off = sample(false);
+    telemetry::reset();
+    let on = sample(true);
+    assert_eq!(on, off, "telemetry changed the Gibbs samples");
+
+    let snap = telemetry::snapshot();
+    let get = |path: &str| snap.counter(path).unwrap_or(0);
+    let steps = get("gibbs/steps");
+    assert_eq!(
+        steps,
+        warmup + shots * thin,
+        "every transition is counted once"
+    );
+    assert_eq!(
+        get("gibbs/held")
+            + get("gibbs/pass/delta")
+            + get("gibbs/pass/full")
+            + get("gibbs/mh/proposed"),
+        steps,
+        "each transition is exactly one of held, delta, full or MH proposal"
+    );
+    assert!(
+        get("gibbs/mh/proposed") > 0,
+        "default options propose MH moves"
+    );
+    assert!(get("gibbs/mh/accepted") <= get("gibbs/mh/proposed"));
+    // One chain: a full pass for its first update, then only after an
+    // accepted proposal — rejected proposals never cost one.
+    assert!(get("gibbs/pass/full") <= 1 + get("gibbs/mh/accepted"));
+    telemetry::reset();
 }
 
 #[test]
