@@ -3,8 +3,10 @@
 //! for the largest QAOA and VQE problem instances of the Figure 8 (ideal)
 //! and Figure 9 (noisy) sweeps.
 //!
-//! Formatting comes from [`PipelineMetrics::report`] — the same pretty-
-//! printer every live run can use — instead of a bench-local table.
+//! Formatting comes from
+//! [`PipelineMetrics::report`](qkc_core::PipelineMetrics::report) — the
+//! same pretty-printer every live run can use — instead of a bench-local
+//! table.
 
 use qkc_bench::Scale;
 use qkc_circuit::{Circuit, NoiseChannel};

@@ -3,10 +3,11 @@
 //!
 //! Each workload is compiled through an [`Engine`] (so artifacts resolve
 //! exactly as production queries would) and verified at
-//! [`VerifyLevel::Full`]: tape well-formedness, semantic d-DNNF
-//! certification (decomposability, determinism witnesses, smoothness),
-//! slot liveness, and the model-layer lints under the workload's
-//! parameter binding. The rendered [`VerifyReport`]s are written to
+//! [`VerifyLevel::Full`](qkc_core::VerifyLevel::Full): tape
+//! well-formedness, semantic d-DNNF certification (decomposability,
+//! determinism witnesses, smoothness), slot liveness, and the model-layer
+//! lints under the workload's parameter binding. The rendered
+//! [`VerifyReport`](qkc_core::VerifyReport)s are written to
 //! `VERIFY_report.txt` (override with `QKC_VERIFY_REPORT`) for CI to
 //! archive.
 //!

@@ -7,8 +7,9 @@
 //! symbolic parameters ([`Param`]) that are re-bound across variational
 //! iterations without rebuilding the circuit.
 //!
-//! The [`reference`] module is a deliberately naive simulator used as the
-//! correctness oracle for every optimized backend in the workspace.
+//! The [`reference`](mod@reference) module is a deliberately naive
+//! simulator used as the correctness oracle for every optimized backend in
+//! the workspace.
 //!
 //! # Examples
 //!

@@ -4,7 +4,7 @@ use crate::{Strategy, TestRng};
 use rand::Rng;
 use std::ops::Range;
 
-/// The accepted size specifications of [`vec`]: a fixed length or a
+/// The accepted size specifications of [`vec()`]: a fixed length or a
 /// half-open range of lengths.
 #[derive(Debug, Clone)]
 pub struct SizeRange(Range<usize>);

@@ -163,9 +163,11 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
 
 impl KcSimulator {
     /// Serializes the compiled artifact into its versioned, checksummed
-    /// wire form. See the [module docs](crate::artifact) for what is
-    /// stored versus recomputed; [`KcSimulator::from_bytes`] is the
-    /// inverse.
+    /// wire form: everything compilation produced (unit-resolution
+    /// fixings, the d-DNNF arena, the tape, the pipeline metrics) is
+    /// stored, and the cheap deterministic rest (Bayesian network, CNF
+    /// encoding, query layout) is rebuilt from the circuit by
+    /// [`KcSimulator::from_bytes`], the inverse.
     pub fn to_bytes(&self, circuit: &Circuit, options: &KcOptions) -> Vec<u8> {
         let tape_bytes = self.tape.to_bytes();
         let mut out = Vec::with_capacity(tape_bytes.len() + self.nnf.num_nodes() * 8 + 256);

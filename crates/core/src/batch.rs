@@ -14,9 +14,10 @@
 //! on `bind(&params[l])` — the engine's sweep executor relies on this to
 //! keep sweep results byte-identical across batch widths.
 
+use crate::bound::{for_each_output_gray, for_each_rv_assignment, write_evidence};
 use crate::pipeline::{KcSimulator, ValueState};
 use qkc_circuit::{ParamMap, UnboundParam};
-use qkc_knowledge::{AcWeightsBatch, TangentPlanBatch, TapeEvaluator, LANE_WIDTH};
+use qkc_knowledge::{AcWeightsBatch, TapeEvaluator, LANE_WIDTH};
 use qkc_math::{Complex, C_ONE, C_ZERO};
 use qkc_telemetry::count;
 use std::cell::RefCell;
@@ -81,77 +82,6 @@ impl KcSimulator {
             changed_vars: RefCell::new(Vec::new()),
         })
     }
-
-    /// The batched analogue of
-    /// [`bind_with_tangents`](KcSimulator::bind_with_tangents): `k`
-    /// parameter maps bound at once, each lane carrying its own weight
-    /// tangents for the shared symbol list. Lane `l` of every gradient
-    /// query is bit-for-bit the scalar tangent bind of `params[l]`.
-    ///
-    /// # Errors
-    ///
-    /// The first binding error in input order, if any point omits a symbol
-    /// the circuit mentions.
-    pub fn bind_batch_with_tangents(
-        &self,
-        params: &[ParamMap],
-        symbols: &[String],
-    ) -> Result<BoundKcBatchTangents<'_>, UnboundParam> {
-        let evaluated = params
-            .iter()
-            .map(|p| self.bayes_net().evaluate_weights_with_tangents(p, symbols))
-            .collect::<Result<Vec<_>, _>>()?;
-        let k = params.len();
-        note_batch_width(k);
-        let num_vars = self.encoding().cnf.num_vars();
-        let mut weights = AcWeightsBatch::uniform(num_vars, k);
-        let mut globals = vec![C_ONE; k];
-        let mut dglobals = vec![vec![C_ZERO; k]; symbols.len()];
-        let mut tangents: Vec<AcWeightsBatch> = symbols
-            .iter()
-            .map(|_| AcWeightsBatch::zeros(num_vars, k))
-            .collect();
-        for (var, node, slot) in self.encoding().vars.params() {
-            match self.fixed_vars().get(&var) {
-                Some(&true) => {
-                    for (lane, (table, dtables)) in evaluated.iter().enumerate() {
-                        let value = table.value(node, slot);
-                        // Product rule, dg before g (see the scalar bind).
-                        for (dgs, dt) in dglobals.iter_mut().zip(dtables) {
-                            dgs[lane] = dgs[lane] * value + globals[lane] * dt.value(node, slot);
-                        }
-                        globals[lane] *= value;
-                    }
-                }
-                Some(&false) => {}
-                None => {
-                    for (lane, (table, dtables)) in evaluated.iter().enumerate() {
-                        weights.set_lane(var, lane, table.value(node, slot), C_ONE);
-                        for (t, dt) in tangents.iter_mut().zip(dtables) {
-                            t.set_lane(var, lane, dt.value(node, slot), C_ZERO);
-                        }
-                    }
-                }
-            }
-        }
-        let plans = tangents
-            .iter()
-            .map(|t| TangentPlanBatch::new(self.tape(), t))
-            .collect();
-        Ok(BoundKcBatchTangents {
-            bound: BoundKcBatch {
-                sim: self,
-                weights,
-                globals,
-                scratch: RefCell::new(None),
-                eval: RefCell::new(TapeEvaluator::new()),
-                last_query: RefCell::new(Vec::new()),
-                changed_vars: RefCell::new(Vec::new()),
-            },
-            dglobals,
-            plans,
-        })
-    }
 }
 
 /// A compiled simulator bound to `k` concrete parameter vectors at once.
@@ -206,7 +136,7 @@ impl<'a> BoundKcBatch<'a> {
         let mut possible = true;
         for (spec, &value) in query.iter().zip(values) {
             assert!(value < spec.domain, "value {value} out of domain");
-            if !set_evidence_batch(w, spec, value) {
+            if !write_evidence(spec, value, |v, pos, neg| w.set_all(v, pos, neg)) {
                 possible = false;
                 break;
             }
@@ -294,35 +224,12 @@ impl<'a> BoundKcBatch<'a> {
         // basis state, decoded once for all lanes. Each amplitude is
         // bit-identical to an independent query; only the visit order
         // changes.
-        self.for_each_output_gray(&mut values, |this, values, x| {
-            for (wf, amp) in out.iter_mut().zip(this.amplitude_assignment(values)) {
+        for_each_output_gray(self.sim, &mut values, |values, x| {
+            for (wf, amp) in out.iter_mut().zip(self.amplitude_assignment(values)) {
                 wf[x] = amp;
             }
         });
         out
-    }
-
-    /// Enumerates all `2^n` output assignments in cone-ordered Gray-code
-    /// order (the scalar bound handle's order), calling `f(self, values,
-    /// x)` with `values[..n]` holding the bits of basis state `x`. Slots
-    /// past the outputs are left untouched.
-    fn for_each_output_gray(
-        &self,
-        values: &mut [usize],
-        mut f: impl FnMut(&Self, &[usize], usize),
-    ) {
-        let n = self.sim.num_outputs();
-        let order = self.sim.output_gray_order();
-        for g in 0..1usize << n {
-            let gc = g ^ (g >> 1);
-            let mut x = 0usize;
-            for (k, &oi) in order.iter().enumerate() {
-                let bit = (gc >> k) & 1;
-                values[oi] = bit;
-                x |= bit << (n - 1 - oi);
-            }
-            f(self, values, x);
-        }
     }
 
     /// Measurement probabilities of every output bitstring per lane:
@@ -335,13 +242,13 @@ impl<'a> BoundKcBatch<'a> {
         let rv_specs = &self.sim.query()[self.sim.num_outputs()..];
         let domains: Vec<usize> = rv_specs.iter().map(|s| s.domain).collect();
         let mut values = vec![0usize; self.sim.query().len()];
-        crate::bound::for_each_rv_assignment(&domains, |rvs| {
+        for_each_rv_assignment(&domains, |rvs| {
             values[n..].copy_from_slice(rvs);
             // Gray-code output order (see `wavefunctions`); per-x sums
             // still accumulate in the same random-event order, so each
             // probability is bitwise unchanged.
-            self.for_each_output_gray(&mut values, |this, values, x| {
-                for (row, amp) in probs.iter_mut().zip(this.amplitude_assignment(values)) {
+            for_each_output_gray(self.sim, &mut values, |values, x| {
+                for (row, amp) in probs.iter_mut().zip(self.amplitude_assignment(values)) {
                     row[x] += amp.norm_sqr();
                 }
             });
@@ -363,8 +270,8 @@ impl<'a> BoundKcBatch<'a> {
             let dim = 1usize << n;
             let mut probs = vec![vec![0.0; dim]; self.lanes()];
             let mut values = vec![0usize; n];
-            self.for_each_output_gray(&mut values, |this, values, x| {
-                for (row, amp) in probs.iter_mut().zip(this.amplitude_assignment(values)) {
+            for_each_output_gray(self.sim, &mut values, |values, x| {
+                for (row, amp) in probs.iter_mut().zip(self.amplitude_assignment(values)) {
                     row[x] = amp.norm_sqr();
                 }
             });
@@ -382,154 +289,6 @@ impl<'a> BoundKcBatch<'a> {
             })
             .collect()
     }
-}
-
-/// A compiled simulator bound to `k` parameter vectors **and** their
-/// per-lane weight tangents for a shared symbol list — the batched
-/// analytic-gradient handle produced by
-/// [`KcSimulator::bind_batch_with_tangents`].
-#[derive(Debug)]
-pub struct BoundKcBatchTangents<'a> {
-    bound: BoundKcBatch<'a>,
-    /// `d(global)/∂θ_s` per lane: `dglobals[symbol][lane]`.
-    dglobals: Vec<Vec<Complex>>,
-    /// One contraction plan per symbol, each spanning all lanes.
-    plans: Vec<TangentPlanBatch>,
-}
-
-impl<'a> BoundKcBatchTangents<'a> {
-    /// The underlying batched bound handle.
-    pub fn bound(&self) -> &BoundKcBatch<'a> {
-        &self.bound
-    }
-
-    /// Number of bound parameter vectors (lanes).
-    pub fn lanes(&self) -> usize {
-        self.bound.lanes()
-    }
-
-    /// Number of tangent symbols this handle differentiates against.
-    pub fn num_symbols(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Per-lane exact expectation and gradient of a diagonal observable:
-    /// `(values, grads)` with `grads[lane][symbol]`. One batched
-    /// upward+downward differentials pass per evidence assignment serves
-    /// every lane and every symbol. Lane `l` is bit-for-bit the scalar
-    /// [`BoundKcTangents::expectation_gradient`](crate::BoundKcTangents::expectation_gradient)
-    /// of that lane's binding: the per-lane zero-tangent skip in the
-    /// contraction kernel and the shared enumeration order reproduce the
-    /// scalar floating-point sequence exactly.
-    pub fn expectation_gradient(
-        &self,
-        observable: &dyn Fn(usize) -> f64,
-    ) -> (Vec<f64>, Vec<Vec<f64>>) {
-        let b = &self.bound;
-        let k = b.lanes();
-        if k == 0 {
-            return (Vec::new(), Vec::new());
-        }
-        let n = b.sim.num_outputs();
-        let dim = 1usize << n;
-        // Per-basis-state accumulators folded in natural order at the end,
-        // mirroring the scalar handle (and the `expectations` fold).
-        let mut probs = vec![vec![0.0; dim]; k];
-        let mut dprobs = vec![vec![vec![0.0; dim]; k]; self.plans.len()];
-        let mut contracted = vec![C_ZERO; k];
-        let mut values = vec![0usize; b.sim.query().len()];
-        let rv_specs = &b.sim.query()[n..];
-        let domains: Vec<usize> = rv_specs.iter().map(|s| s.domain).collect();
-        crate::bound::for_each_rv_assignment(&domains, |rvs| {
-            values[n..].copy_from_slice(rvs);
-            b.for_each_output_gray(&mut values, |b, values, x| {
-                let mut guard = b.scratch.borrow_mut();
-                let w = guard.get_or_insert_with(|| b.weights.clone());
-                let mut possible = true;
-                for (spec, &value) in b.sim.query().iter().zip(values) {
-                    if !set_evidence_batch(w, spec, value) {
-                        possible = false;
-                        break;
-                    }
-                }
-                if possible {
-                    let tape = b.sim.tape();
-                    let mut eval = b.eval.borrow_mut();
-                    eval.differentials_batch(tape, w);
-                    for (l, row) in probs.iter_mut().enumerate() {
-                        let amp = b.globals[l] * eval.value_lane(tape, l);
-                        row[x] += amp.norm_sqr();
-                    }
-                    for ((dp, plan), dgs) in dprobs.iter_mut().zip(&self.plans).zip(&self.dglobals)
-                    {
-                        eval.contract_tangent_lanes(plan, &mut contracted);
-                        for (l, row) in dp.iter_mut().enumerate() {
-                            let raw = eval.value_lane(tape, l);
-                            let amp = b.globals[l] * raw;
-                            let damp = dgs[l] * raw + b.globals[l] * contracted[l];
-                            row[x] += 2.0 * (amp.conj() * damp).re;
-                        }
-                    }
-                }
-                for &v in b.sim.query_lit_vars() {
-                    w.copy_var_from(&b.weights, v);
-                }
-            });
-        });
-        let energies = probs
-            .iter()
-            .map(|p| p.iter().enumerate().map(|(x, &p)| p * observable(x)).sum())
-            .collect();
-        let grads = (0..k)
-            .map(|l| {
-                dprobs
-                    .iter()
-                    .map(|dp| {
-                        dp[l]
-                            .iter()
-                            .enumerate()
-                            .map(|(x, &d)| d * observable(x))
-                            .sum()
-                    })
-                    .collect()
-            })
-            .collect();
-        (energies, grads)
-    }
-}
-
-/// Writes shared evidence `spec = value` into every lane of the weight
-/// batch — the batched analogue of the scalar `set_evidence`. Returns
-/// `false` if the value is impossible (forced false by unit resolution).
-fn set_evidence_batch(
-    w: &mut AcWeightsBatch,
-    spec: &crate::pipeline::QuerySpec,
-    value: usize,
-) -> bool {
-    if matches!(spec.values[value], ValueState::ForcedFalse) {
-        return false;
-    }
-    if spec.domain == 2 {
-        if let (ValueState::Lit(l0), ValueState::Lit(l1)) = (spec.values[0], spec.values[1]) {
-            debug_assert_eq!(l0, -l1, "binary node literals must be complementary");
-            let var = l1.unsigned_abs();
-            let (pos, neg) = if value == 1 {
-                (C_ONE, C_ZERO)
-            } else {
-                (C_ZERO, C_ONE)
-            };
-            w.set_all(var, pos, neg);
-        }
-        return true;
-    }
-    for (v, state) in spec.values.iter().enumerate() {
-        if let ValueState::Lit(lit) = state {
-            let var = lit.unsigned_abs();
-            let chosen = if v == value { C_ONE } else { C_ZERO };
-            w.set_all(var, chosen, C_ONE);
-        }
-    }
-    true
 }
 
 #[cfg(test)]

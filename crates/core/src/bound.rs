@@ -4,7 +4,7 @@
 //! arithmetic circuit is fixed; only literal weights (and the global factor
 //! contributed by unit-resolved parameter variables) are recomputed.
 
-use crate::pipeline::{KcSimulator, ValueState};
+use crate::pipeline::{KcSimulator, QuerySpec, ValueState};
 use qkc_circuit::{ParamMap, UnboundParam};
 use qkc_knowledge::{
     AcWeights, AcWeightsBatch, DiffCone, GibbsCounts, GibbsOptions, GibbsSampler, QueryVar,
@@ -175,7 +175,7 @@ impl<'a> BoundKc<'a> {
         let mut possible = true;
         for (spec, &value) in query.iter().zip(values) {
             assert!(value < spec.domain, "value {value} out of domain");
-            if !set_evidence(w, spec, value) {
+            if !write_evidence(spec, value, |v, pos, neg| w.set(v, pos, neg)) {
                 possible = false;
                 break;
             }
@@ -227,7 +227,7 @@ impl<'a> BoundKc<'a> {
         let mut possible = true;
         for (spec, &value) in query.iter().zip(values) {
             assert!(value < spec.domain, "value {value} out of domain");
-            if !set_evidence(w, spec, value) {
+            if !write_evidence(spec, value, |v, pos, neg| w.set(v, pos, neg)) {
                 possible = false;
                 break;
             }
@@ -288,33 +288,10 @@ impl<'a> BoundKc<'a> {
         // assigned so the most-frequently-flipped one has the smallest
         // cone. Each amplitude is bit-identical to an independent query;
         // only the visit order changes.
-        self.for_each_output_gray(&mut values, |this, values, x| {
-            out[x] = this.amplitude_assignment(values);
+        for_each_output_gray(self.sim, &mut values, |values, x| {
+            out[x] = self.amplitude_assignment(values);
         });
         out
-    }
-
-    /// Enumerates all `2^n` output assignments in cone-ordered Gray-code
-    /// order, calling `f(self, values, x)` with `values[..n]` holding the
-    /// bits of basis state `x`. `values` must have the full query arity;
-    /// slots past the outputs are left untouched.
-    fn for_each_output_gray(
-        &self,
-        values: &mut [usize],
-        mut f: impl FnMut(&Self, &[usize], usize),
-    ) {
-        let n = self.sim.num_outputs();
-        let order = self.sim.output_gray_order();
-        for g in 0..1usize << n {
-            let gc = g ^ (g >> 1);
-            let mut x = 0usize;
-            for (k, &oi) in order.iter().enumerate() {
-                let bit = (gc >> k) & 1;
-                values[oi] = bit;
-                x |= bit << (n - 1 - oi);
-            }
-            f(self, values, x);
-        }
     }
 
     /// Measurement probabilities of every output bitstring:
@@ -330,7 +307,7 @@ impl<'a> BoundKc<'a> {
             // Gray-code output order (see `wavefunction`); per-x sums
             // still accumulate in the same random-event order, so each
             // probability is bitwise unchanged.
-            this.for_each_output_gray(&mut values, |this, values, x| {
+            for_each_output_gray(this.sim, &mut values, |values, x| {
                 probs[x] += this.amplitude_assignment(values).norm_sqr();
             });
         });
@@ -349,7 +326,7 @@ impl<'a> BoundKc<'a> {
             values[n..].copy_from_slice(rvs);
             // Gray-code order (see `wavefunction`); amplitudes land at
             // their natural index.
-            this.for_each_output_gray(&mut values, |this, values, x| {
+            for_each_output_gray(this.sim, &mut values, |values, x| {
                 amps[x] = this.amplitude_assignment(values);
             });
             for r in 0..dim {
@@ -382,7 +359,7 @@ impl<'a> BoundKc<'a> {
         let mut guard = self.scratch.borrow_mut();
         let w = guard.get_or_insert_with(|| self.weights.clone());
         for (spec, &value) in query.iter().zip(&values) {
-            set_evidence(w, spec, value);
+            write_evidence(spec, value, |v, pos, neg| w.set(v, pos, neg));
         }
         let tape = self.sim.tape();
         let mut eval = self.eval.borrow_mut();
@@ -565,14 +542,15 @@ impl<'a> BoundKcTangents<'a> {
                     let mut x = 0usize;
                     let mut apply = |written: &mut Vec<Option<usize>>, s: usize, value: usize| {
                         let spec = &query[s];
-                        // An impossible value has no literal to set: mark
-                        // the lane dead and leave its weights untouched
-                        // (so `written` stays truthful for later blocks).
-                        if matches!(spec.values[value], ValueState::ForcedFalse) {
-                            return false;
-                        }
                         if written[s] != Some(value) {
-                            set_evidence_lane(&mut wb, spec, value, l);
+                            // An impossible value has no literal to set:
+                            // the lane is dead and its weights stay
+                            // untouched (so `written` stays truthful for
+                            // later blocks).
+                            let set = |v, pos, neg| wb.set_lane(v, l, pos, neg);
+                            if !write_evidence(spec, value, set) {
+                                return false;
+                            }
                             written[s] = Some(value);
                             for state in &spec.values {
                                 if let ValueState::Lit(lit) = state {
@@ -659,9 +637,40 @@ pub(crate) fn for_each_rv_assignment(domains: &[usize], mut f: impl FnMut(&[usiz
     }
 }
 
-/// Writes evidence `spec = value` into the weight vector. Returns `false`
-/// if the value is impossible (forced false by unit resolution).
-fn set_evidence(w: &mut AcWeights, spec: &crate::pipeline::QuerySpec, value: usize) -> bool {
+/// Enumerates all `2^n` output assignments of `sim` in cone-ordered
+/// Gray-code order, calling `f(values, x)` with `values[..n]` holding the
+/// bits of basis state `x`. `values` must have the full query arity; slots
+/// past the outputs are left untouched. Consecutive calls differ in one
+/// output's evidence, and the most-flipped output has the smallest cone.
+pub(crate) fn for_each_output_gray(
+    sim: &KcSimulator,
+    values: &mut [usize],
+    mut f: impl FnMut(&[usize], usize),
+) {
+    let n = sim.num_outputs();
+    let order = sim.output_gray_order();
+    for g in 0..1usize << n {
+        let gc = g ^ (g >> 1);
+        let mut x = 0usize;
+        for (k, &oi) in order.iter().enumerate() {
+            let bit = (gc >> k) & 1;
+            values[oi] = bit;
+            x |= bit << (n - 1 - oi);
+        }
+        f(values, x);
+    }
+}
+
+/// Writes evidence `spec = value` as `set(var, w(+var), w(−var))` calls —
+/// the one evidence-literal rule behind every bound handle, whether `set`
+/// writes a scalar weight vector, one lane of a batch, or every lane.
+/// Returns `false`, writing nothing, if the value is impossible (forced
+/// false by unit resolution).
+pub(crate) fn write_evidence(
+    spec: &QuerySpec,
+    value: usize,
+    mut set: impl FnMut(u32, Complex, Complex),
+) -> bool {
     if matches!(spec.values[value], ValueState::ForcedFalse) {
         return false;
     }
@@ -669,13 +678,12 @@ fn set_evidence(w: &mut AcWeights, spec: &crate::pipeline::QuerySpec, value: usi
     if spec.domain == 2 {
         if let (ValueState::Lit(l0), ValueState::Lit(l1)) = (spec.values[0], spec.values[1]) {
             debug_assert_eq!(l0, -l1, "binary node literals must be complementary");
-            let var = l1.unsigned_abs();
             let (pos, neg) = if value == 1 {
                 (C_ONE, C_ZERO)
             } else {
                 (C_ZERO, C_ONE)
             };
-            w.set(var, pos, neg);
+            set(l1.unsigned_abs(), pos, neg);
         }
         // Fully forced binary node: nothing to set; consistency was checked.
         return true;
@@ -684,42 +692,11 @@ fn set_evidence(w: &mut AcWeights, spec: &crate::pipeline::QuerySpec, value: usi
     // indicators 0, negative polarities 1.
     for (v, state) in spec.values.iter().enumerate() {
         if let ValueState::Lit(lit) = state {
-            let var = lit.unsigned_abs();
             let chosen = if v == value { C_ONE } else { C_ZERO };
-            w.set(var, chosen, C_ONE);
+            set(lit.unsigned_abs(), chosen, C_ONE);
         }
     }
     true
-}
-
-/// Lane-local [`set_evidence`] for batched gradient passes. The caller has
-/// already rejected `ForcedFalse` values.
-fn set_evidence_lane(
-    wb: &mut AcWeightsBatch,
-    spec: &crate::pipeline::QuerySpec,
-    value: usize,
-    lane: usize,
-) {
-    if spec.domain == 2 {
-        if let (ValueState::Lit(l0), ValueState::Lit(l1)) = (spec.values[0], spec.values[1]) {
-            debug_assert_eq!(l0, -l1, "binary node literals must be complementary");
-            let var = l1.unsigned_abs();
-            let (pos, neg) = if value == 1 {
-                (C_ONE, C_ZERO)
-            } else {
-                (C_ZERO, C_ONE)
-            };
-            wb.set_lane(var, lane, pos, neg);
-        }
-        return;
-    }
-    for (v, state) in spec.values.iter().enumerate() {
-        if let ValueState::Lit(lit) = state {
-            let var = lit.unsigned_abs();
-            let chosen = if v == value { C_ONE } else { C_ZERO };
-            wb.set_lane(var, lane, chosen, C_ONE);
-        }
-    }
 }
 
 /// A Gibbs sampler with query-variable value mapping back to circuit

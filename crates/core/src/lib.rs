@@ -42,7 +42,7 @@ mod pipeline;
 mod verify;
 
 pub use artifact::{ArtifactDecodeError, ARTIFACT_WIRE_VERSION};
-pub use batch::{BoundKcBatch, BoundKcBatchTangents};
+pub use batch::BoundKcBatch;
 pub use bound::{BoundKc, BoundKcTangents, KcSampler};
 pub use diagnose::{Explanation, Sensitivity};
 pub use pipeline::{
@@ -381,50 +381,5 @@ mod tests {
         }
         // A symbol the circuit never mentions has zero gradient.
         assert_eq!(grad[3], 0.0);
-    }
-
-    #[test]
-    fn batched_tangent_bind_is_bit_identical_to_scalar() {
-        let c = tangent_test_circuit();
-        let sim = KcSimulator::compile(&c, &KcOptions::default());
-        let obs = |x: usize| {
-            if x.count_ones().is_multiple_of(2) {
-                1.0
-            } else {
-                -1.0
-            }
-        };
-        let symbols: Vec<String> = ["a", "g", "b"]
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        let points: Vec<ParamMap> = (0..5)
-            .map(|i| {
-                ParamMap::from_pairs([
-                    ("a", 0.3 + 0.41 * i as f64),
-                    ("g", -0.9 + 0.27 * i as f64),
-                    ("b", 1.1 - 0.33 * i as f64),
-                ])
-            })
-            .collect();
-        let batch = sim.bind_batch_with_tangents(&points, &symbols).unwrap();
-        assert_eq!(batch.lanes(), 5);
-        let (values, grads) = batch.expectation_gradient(&obs);
-        for (lane, p) in points.iter().enumerate() {
-            let scalar = sim.bind_with_tangents(p, &symbols).unwrap();
-            let (sv, sg) = scalar.expectation_gradient(&obs);
-            assert_eq!(values[lane].to_bits(), sv.to_bits(), "lane {lane} value");
-            for s in 0..symbols.len() {
-                assert_eq!(
-                    grads[lane][s].to_bits(),
-                    sg[s].to_bits(),
-                    "lane {lane} symbol {s}"
-                );
-            }
-        }
-        // Empty batches stay well-formed.
-        let empty = sim.bind_batch_with_tangents(&[], &symbols).unwrap();
-        let (v, g) = empty.expectation_gradient(&obs);
-        assert!(v.is_empty() && g.is_empty());
     }
 }

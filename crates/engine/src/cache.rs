@@ -221,7 +221,9 @@ struct CacheState {
 /// A thread-safe, optionally bounded cache of compiled [`KcSimulator`]
 /// artifacts, keyed by the circuit's
 /// [structural hash](Circuit::structural_hash) plus the pipeline options.
-/// See the [module docs](self) for the eviction and spill lifecycle.
+/// [`CacheOptions`] bounds its residency: over budget it evicts in
+/// cost-aware LRU order, and with a spill directory set an evicted
+/// artifact rehydrates from disk instead of recompiling.
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
     options: CacheOptions,

@@ -30,8 +30,9 @@ use qkc_circuit::{Circuit, Gate, Operation, ParamMap};
 pub const FD_STEP: f64 = 1e-6;
 
 /// How a gradient query was evaluated — the primary mechanism behind the
-/// whole result (individual components of a [`ParameterShift`]
-/// (GradientMethod::ParameterShift) query may still be finite differences;
+/// whole result (individual components of a
+/// [`ParameterShift`](GradientMethod::ParameterShift) query may still be
+/// finite differences;
 /// [`GradientResult::exact`] records that).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GradientMethod {

@@ -24,9 +24,9 @@ pub struct CacheStats {
     /// **Total** number of cached structures the cache has ever admitted:
     /// resident, still resolving, or evicted. Evicted entries keep their
     /// identity (circuit, options, spill path) so they can rehydrate, and
-    /// therefore still count here. Compare with [`resident_entries`]
-    /// (`CacheStats::resident_entries`) for how many actually hold a
-    /// compiled artifact in memory right now.
+    /// therefore still count here. Compare with
+    /// [`resident_entries`](CacheStats::resident_entries) for how many
+    /// actually hold a compiled artifact in memory right now.
     pub entries: usize,
     /// Number of entries whose compiled artifact is **resident in memory**
     /// right now — the subset of [`entries`](CacheStats::entries) that is

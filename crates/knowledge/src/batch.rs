@@ -14,21 +14,18 @@
 //! all paid once per node instead of once per node per binding.
 //!
 //! Every lane is guaranteed **bit-for-bit identical** to the scalar
-//! [`evaluate`](crate::evaluate())/
-//! [`evaluate_with_differentials`](crate::evaluate_with_differentials())
-//! result for the same weights: the per-lane operation sequence (including
-//! the zero short-circuit at AND nodes and the zero-partial skip in the
-//! downward pass, both expressed as per-lane selects — see
-//! [`crate::lanes`]) mirrors the scalar kernel exactly. The engine's sweep
-//! executor relies on this to keep results byte-identical across batch
-//! widths. Ragged `k` occupies the trailing block's leading lanes; its
-//! dead lanes are zero-filled and carried along as a masked remainder.
+//! [`evaluate`](crate::evaluate()) result for the same weights: the
+//! per-lane operation sequence (including the zero short-circuit at AND
+//! nodes, expressed as a per-lane select — see [`crate::lanes`]) mirrors
+//! the scalar kernel exactly. The engine's sweep executor relies on this
+//! to keep results byte-identical across batch widths. Ragged `k` occupies
+//! the trailing block's leading lanes; its dead lanes are zero-filled and
+//! carried along as a masked remainder.
 
 use crate::lanes::{blocks_for, LaneBlock, LANE_WIDTH};
 use crate::nnf::{Nnf, NnfNode};
 use qkc_cnf::Lit;
 use qkc_math::{Complex, C_ONE, C_ZERO};
-use std::collections::HashMap;
 
 /// Literal weights for `k` bindings in lane-blocked split-plane layout:
 /// for each weight slot (row), `⌈k/W⌉` [`LaneBlock`]s of `W` lanes.
@@ -270,165 +267,11 @@ fn upward_pass(nnf: &Nnf, weights: &AcWeightsBatch, values: &mut [LaneBlock], nb
     }
 }
 
-/// The result of a combined batched upward + downward pass: per-lane root
-/// values and per-lane partial derivatives with respect to every literal.
-#[derive(Debug)]
-pub struct DifferentialsBatch {
-    lanes: usize,
-    nb: usize,
-    values: Vec<LaneBlock>,
-    partials: Vec<LaneBlock>,
-    lit_nodes: HashMap<Lit, u32>,
-    root: u32,
-}
-
-impl DifferentialsBatch {
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The root value (amplitude) of lane `lane`.
-    pub fn value(&self, lane: usize) -> Complex {
-        self.values[self.root as usize * self.nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH)
-    }
-
-    /// `∂f/∂w(lit)` in lane `lane` (see
-    /// [`Differentials::wrt_lit`](crate::Differentials::wrt_lit)). Returns
-    /// `None` if the literal does not appear in the circuit.
-    pub fn wrt_lit(&self, lit: Lit, lane: usize) -> Option<Complex> {
-        self.lit_nodes.get(&lit).map(|&id| self.wrt_node(id, lane))
-    }
-
-    /// The partial derivative of the root with respect to node `id` in lane
-    /// `lane`.
-    pub fn wrt_node(&self, id: u32, lane: usize) -> Complex {
-        self.partials[id as usize * self.nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH)
-    }
-}
-
-/// Combined batched upward and downward pass: one traversal each way,
-/// updating `k` lanes per node. Lane `l` matches the scalar
-/// [`evaluate_with_differentials`](crate::evaluate_with_differentials())
-/// bit-for-bit.
-pub fn evaluate_with_differentials_batch(
-    nnf: &Nnf,
-    weights: &AcWeightsBatch,
-) -> DifferentialsBatch {
-    let k = weights.lanes();
-    let nb = weights.blocks_per_row();
-    let n = nnf.num_nodes();
-    let mut values = vec![LaneBlock::ZERO; n * nb];
-    let mut lit_nodes: HashMap<Lit, u32> = HashMap::new();
-    // The downward pass needs full AND products, so run a dedicated upward
-    // pass without the zero short-circuit (as the scalar kernel does).
-    for (i, node) in nnf.nodes().iter().enumerate() {
-        let row = i * nb;
-        let (head, tail) = values.split_at_mut(row);
-        let out = &mut tail[..nb];
-        match node {
-            NnfNode::True => out.fill(LaneBlock::ONE),
-            NnfNode::False => {}
-            NnfNode::Lit(l) => {
-                lit_nodes.insert(*l, i as u32);
-                out.copy_from_slice(weights.row_blocks(*l));
-            }
-            NnfNode::And(cs) => {
-                out.fill(LaneBlock::ONE);
-                for &c in cs.iter() {
-                    let child = &head[c as usize * nb..c as usize * nb + nb];
-                    for (acc, v) in out.iter_mut().zip(child) {
-                        acc.mul_assign(v);
-                    }
-                }
-            }
-            NnfNode::Or(a, b) => {
-                let arow = *a as usize * nb;
-                let brow = *b as usize * nb;
-                for (bi, acc) in out.iter_mut().enumerate() {
-                    let (x, y) = (head[arow + bi], head[brow + bi]);
-                    acc.add_of(&x, &y);
-                }
-            }
-        }
-    }
-    let mut partials = vec![LaneBlock::ZERO; n * nb];
-    let root_row = nnf.root() as usize * nb;
-    partials[root_row..root_row + nb].fill(LaneBlock::ONE);
-    // Per-AND scratch, reused across nodes: prefix products (child-major,
-    // nb blocks each), suffix/accumulator blocks, and a copy of the node's
-    // partials (needed because `partials` is written below while the
-    // node's own row must stay fixed).
-    let mut prefix: Vec<LaneBlock> = Vec::new();
-    let mut suffix: Vec<LaneBlock> = vec![LaneBlock::ONE; nb];
-    let mut acc: Vec<LaneBlock> = vec![LaneBlock::ONE; nb];
-    let mut p: Vec<LaneBlock> = Vec::new();
-    for (i, node) in nnf.nodes().iter().enumerate().rev() {
-        let row = i * nb;
-        match node {
-            NnfNode::And(cs) => {
-                let p_row = &partials[row..row + nb];
-                if p_row.iter().all(LaneBlock::all_zero) {
-                    continue;
-                }
-                p.clear();
-                p.extend_from_slice(p_row);
-                // prefix[c] here holds the SUFFIX Π_{j>c} v_j, stashed
-                // from the right; the forward sweep then carries
-                // pq = p·Π_{j<c} v_j in `acc`, exactly as the scalar kernel.
-                prefix.clear();
-                prefix.resize(cs.len() * nb, LaneBlock::ONE);
-                suffix.fill(LaneBlock::ONE);
-                for (ci, &c) in cs.iter().enumerate().rev() {
-                    prefix[ci * nb..ci * nb + nb].copy_from_slice(&suffix);
-                    let child = &values[c as usize * nb..c as usize * nb + nb];
-                    for (s, v) in suffix.iter_mut().zip(child) {
-                        s.mul_assign(v);
-                    }
-                }
-                acc[..nb].copy_from_slice(&p);
-                for (ci, &c) in cs.iter().enumerate() {
-                    let crow = c as usize * nb;
-                    for bi in 0..nb {
-                        // Scalar kernel skips whole nodes whose partial is
-                        // zero; the per-lane select keeps each lane's
-                        // accumulation sequence (and so its bits) identical.
-                        let term_a = acc[bi];
-                        partials[crow + bi].add_mul_where(&p[bi], &term_a, &prefix[ci * nb + bi]);
-                    }
-                    let child = &values[crow..crow + nb];
-                    for (a, v) in acc.iter_mut().zip(child) {
-                        a.mul_assign(v);
-                    }
-                }
-            }
-            NnfNode::Or(a, b) => {
-                let arow = *a as usize * nb;
-                let brow = *b as usize * nb;
-                for bi in 0..nb {
-                    let p = partials[row + bi];
-                    partials[arow + bi].add_where_nonzero(&p);
-                    partials[brow + bi].add_where_nonzero(&p);
-                }
-            }
-            _ => {}
-        }
-    }
-    DifferentialsBatch {
-        lanes: k,
-        nb,
-        values,
-        partials,
-        lit_nodes,
-        root: nnf.root(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compiler::{compile, CompileOptions};
-    use crate::evaluate::{evaluate, evaluate_with_differentials, AcWeights};
+    use crate::evaluate::{evaluate, AcWeights};
     use crate::transform::smooth;
     use qkc_cnf::Cnf;
     use rand::rngs::StdRng;
@@ -513,62 +356,6 @@ mod tests {
         let got = evaluate_batch(&nnf, &batch_of(&lanes));
         for (lane, w) in lanes.iter().enumerate() {
             assert!(bits_eq(got[lane], evaluate(&nnf, w)), "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn differentials_batch_matches_scalar_bit_for_bit() {
-        let nnf = test_nnf();
-        let mut rng = StdRng::seed_from_u64(23);
-        for k in [1usize, 5, LANE_WIDTH, LANE_WIDTH + 1, 2 * LANE_WIDTH + 3] {
-            let lanes: Vec<AcWeights> = (0..k).map(|_| random_weights(3, &mut rng)).collect();
-            let batch = evaluate_with_differentials_batch(&nnf, &batch_of(&lanes));
-            assert_eq!(batch.lanes(), k);
-            for (lane, w) in lanes.iter().enumerate() {
-                let scalar = evaluate_with_differentials(&nnf, w);
-                assert!(
-                    bits_eq(batch.value(lane), scalar.value),
-                    "value k {k} lane {lane}"
-                );
-                for v in 1..=3i32 {
-                    for lit in [v, -v] {
-                        let got = batch.wrt_lit(lit, lane);
-                        let want = scalar.wrt_lit(lit);
-                        match (got, want) {
-                            (Some(g), Some(s)) => {
-                                assert!(bits_eq(g, s), "lit {lit} lane {lane}: {g} vs {s}");
-                            }
-                            (None, None) => {}
-                            other => panic!("lit {lit} lane {lane}: presence mismatch {other:?}"),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn differentials_batch_handles_zero_partials() {
-        // Evidence weights with zeros: the downward pass must stay exact
-        // (prefix/suffix products, no divisions) in every lane.
-        let nnf = test_nnf();
-        let mut w = AcWeights::uniform(3);
-        w.set(1, C_ONE, C_ZERO);
-        w.set(2, C_ZERO, C_ONE);
-        w.set(3, C_ONE, C_ZERO);
-        let lanes = [w.clone(), w];
-        let batch = evaluate_with_differentials_batch(&nnf, &batch_of(&lanes));
-        let scalar = evaluate_with_differentials(&nnf, &lanes[0]);
-        for lane in 0..2 {
-            for v in 1..=3i32 {
-                for lit in [v, -v] {
-                    assert_eq!(
-                        batch.wrt_lit(lit, lane).map(|c| (c.re, c.im)),
-                        scalar.wrt_lit(lit).map(|c| (c.re, c.im)),
-                        "lit {lit} lane {lane}"
-                    );
-                }
-            }
         }
     }
 

@@ -12,8 +12,9 @@
 //! [`Complex`] arithmetic sequence — the same multiply formula
 //! (`re·re − im·im`, `re·im + im·re`), the same componentwise adds, and
 //! the same zero tests (`re == 0.0 && im == 0.0`, matching `Complex`'s
-//! derived `PartialEq` against [`C_ZERO`]) — so a blocked kernel built
-//! from these ops is bit-for-bit identical to its scalar reference.
+//! derived `PartialEq` against [`C_ZERO`](qkc_math::C_ZERO)) — so a
+//! blocked kernel built from these ops is bit-for-bit identical to its
+//! scalar reference.
 //! Nothing here is allowed to fuse a multiply-add: rustc never contracts
 //! float expressions into FMA on its own, and keeping the two roundings
 //! separate is what makes the SIMD path produce the scalar bits.
@@ -166,32 +167,6 @@ impl<const W: usize> LaneBlock<W> {
         }
     }
 
-    /// `self += a * b` in lanes where `p` is nonzero (the downward AND
-    /// pass's per-lane zero-partial skip, as a select).
-    #[inline(always)]
-    pub fn add_mul_where(&mut self, p: &Self, a: &Self, b: &Self) {
-        for w in 0..W {
-            let skip = p.re[w] == 0.0 && p.im[w] == 0.0;
-            let re = self.re[w] + (a.re[w] * b.re[w] - a.im[w] * b.im[w]);
-            let im = self.im[w] + (a.re[w] * b.im[w] + a.im[w] * b.re[w]);
-            self.re[w] = if skip { self.re[w] } else { re };
-            self.im[w] = if skip { self.im[w] } else { im };
-        }
-    }
-
-    /// `self += p` in lanes where `p` is nonzero (the downward OR pass's
-    /// per-lane zero-partial skip, as a select).
-    #[inline(always)]
-    pub fn add_where_nonzero(&mut self, p: &Self) {
-        for w in 0..W {
-            let skip = p.re[w] == 0.0 && p.im[w] == 0.0;
-            let re = self.re[w] + p.re[w];
-            let im = self.im[w] + p.im[w];
-            self.re[w] = if skip { self.re[w] } else { re };
-            self.im[w] = if skip { self.im[w] } else { im };
-        }
-    }
-
     /// Whether every lane is numerically zero (`== C_ZERO`; sign of zero
     /// is ignored, matching the scalar comparison).
     #[inline(always)]
@@ -250,7 +225,6 @@ mod tests {
         for _ in 0..200 {
             let a = random_block(&mut rng);
             let b = random_block(&mut rng);
-            let p = random_block(&mut rng);
             let acc0 = random_block(&mut rng);
 
             let m = a.mul(&b);
@@ -265,13 +239,9 @@ mod tests {
             aa.add_assign(&b);
             let mut am = acc0;
             am.add_mul(&a, &b);
-            let mut amw = acc0;
-            amw.add_mul_where(&p, &a, &b);
-            let mut awn = acc0;
-            awn.add_where_nonzero(&p);
 
             for w in 0..LANE_WIDTH {
-                let (x, y, pp, z) = (a.get(w), b.get(w), p.get(w), acc0.get(w));
+                let (x, y, z) = (a.get(w), b.get(w), acc0.get(w));
                 assert!(bits_eq(m.get(w), x * y));
                 assert!(bits_eq(ot.get(w), C_ONE * x));
                 assert!(bits_eq(ma.get(w), x * y));
@@ -280,10 +250,6 @@ mod tests {
                 assert!(bits_eq(sum.get(w), x + y));
                 assert!(bits_eq(aa.get(w), z + y));
                 assert!(bits_eq(am.get(w), z + x * y));
-                let want_amw = if pp != C_ZERO { z + x * y } else { z };
-                assert!(bits_eq(amw.get(w), want_amw));
-                let want_awn = if pp != C_ZERO { z + pp } else { z };
-                assert!(bits_eq(awn.get(w), want_awn));
             }
         }
     }

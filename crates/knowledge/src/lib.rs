@@ -9,10 +9,10 @@
 //! evaluated repeatedly as an *arithmetic circuit*: upward for amplitudes
 //! ([`evaluate`]), upward+downward for all single-flip amplitudes at once
 //! ([`evaluate_with_differentials`]), which drives the [`GibbsSampler`].
-//! Parameter sweeps amortize the traversal itself: [`evaluate_batch`] and
-//! [`evaluate_with_differentials_batch`] decode each node once and update
-//! `k` weight lanes ([`AcWeightsBatch`]) held in lane-blocked split-plane
-//! layout ([`lanes`]), bit-for-bit equal to `k` scalar evaluations.
+//! Parameter sweeps amortize the traversal itself: [`evaluate_batch`]
+//! decodes each node once and updates `k` weight lanes ([`AcWeightsBatch`])
+//! held in lane-blocked split-plane layout ([`lanes`]), bit-for-bit equal
+//! to `k` scalar evaluations.
 //!
 //! Production queries run on the flat execution form: [`AcTape`] lowers the
 //! enum arena once into a topologically-ordered instruction stream with CSR
@@ -51,10 +51,7 @@ mod tape;
 mod transform;
 mod verify;
 
-pub use batch::{
-    evaluate_batch, evaluate_batch_into, evaluate_with_differentials_batch, AcWeightsBatch,
-    DifferentialsBatch,
-};
+pub use batch::{evaluate_batch, evaluate_batch_into, AcWeightsBatch};
 pub use compiler::{compile, CompileOptions, CompileStats, Compiled};
 pub use evaluate::{evaluate, evaluate_with_differentials, AcWeights, Differentials};
 pub use gibbs::{GibbsCounts, GibbsOptions, GibbsSampler, QueryVar};
@@ -62,12 +59,11 @@ pub use lanes::{LaneBlock, LANE_WIDTH};
 pub use nnf::{Nnf, NnfBuilder, NnfId, NnfNode};
 pub use order::{compute_ranks, compute_ranks_balanced, VarOrder, DEFAULT_SEPARATOR_BALANCE};
 pub use tape::{
-    fnv1a as wire_checksum, AcTape, DiffCone, TangentPlan, TangentPlanBatch, TapeDecodeError,
-    TapeDifferentials, TapeEvaluator, TapeId, TapeOp, TapeOpKind,
-    WIRE_VERSION as TAPE_WIRE_VERSION,
+    fnv1a as wire_checksum, AcTape, DiffCone, TangentPlan, TapeDecodeError, TapeDifferentials,
+    TapeEvaluator, TapeId, TapeOp, TapeOpKind, WIRE_VERSION as TAPE_WIRE_VERSION,
 };
 pub use transform::{project_out, smooth};
 pub use verify::{
-    verify_tangent_plan, verify_tangent_plan_batch, verify_tape, verify_tape_bytes, Finding,
-    Severity, VerifyLevel, VerifyPass, VerifyReport,
+    verify_tangent_plan, verify_tape, verify_tape_bytes, Finding, Severity, VerifyLevel,
+    VerifyPass, VerifyReport,
 };

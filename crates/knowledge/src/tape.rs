@@ -25,22 +25,40 @@
 //!
 //! # Determinism contract
 //!
-//! Every kernel is **bit-for-bit identical** to the enum-walk reference
-//! implementation ([`evaluate`](crate::evaluate()),
-//! [`evaluate_with_differentials`](crate::evaluate_with_differentials()),
-//! [`evaluate_batch`](crate::evaluate_batch()),
-//! [`sample_model`](crate::sample_model())): the per-node operation
-//! sequence (child order, the zero short-circuit at AND nodes, the
-//! zero-partial skip in the downward pass, prefix/suffix products —
-//! including the multiplications by exact one the reference performs) is
-//! mirrored exactly, and model sampling visits OR nodes in the same order
-//! so it consumes the same RNG stream. Lowering only performs
-//! transformations that provably preserve bits: dead nodes are pruned
-//! (they never contribute), ⊤/⊥ become precomputed constants (the values
-//! the reference assigns), and an AND whose children are all constants is
-//! folded by running the reference recipe at lowering time. OR nodes are
-//! never folded — model sampling draws one random number per OR visit, so
-//! removing one would shift the stream.
+//! Every kernel is **bit-for-bit identical** to its enum-walk reference:
+//!
+//! * [`evaluate`](TapeEvaluator::evaluate),
+//!   [`evaluate_delta`](TapeEvaluator::evaluate_delta) and the root of
+//!   [`evaluate_demand`](TapeEvaluator::evaluate_demand) match
+//!   [`evaluate`](crate::evaluate());
+//! * [`differentials`](TapeEvaluator::differentials) and
+//!   [`differentials_delta`](TapeEvaluator::differentials_delta) match
+//!   [`evaluate_with_differentials`](crate::evaluate_with_differentials());
+//! * [`evaluate_batch`](TapeEvaluator::evaluate_batch) and
+//!   [`evaluate_batch_delta`](TapeEvaluator::evaluate_batch_delta) match
+//!   [`evaluate_batch`](crate::evaluate_batch()), and so, lane by lane,
+//!   the scalar `evaluate`;
+//! * [`differentials_cone_batch`](TapeEvaluator::differentials_cone_batch)
+//!   and its delta form match, lane by lane, the root and the cone-slot
+//!   partials of the scalar `differentials`, and
+//!   [`contract_tangent_broadcast`](TapeEvaluator::contract_tangent_broadcast)
+//!   sums those partials in plan order;
+//! * [`model_magnitudes`](TapeEvaluator::model_magnitudes) plus
+//!   [`draw_model`](TapeEvaluator::draw_model) match
+//!   [`sample_model`](crate::evaluate::sample_model), consuming the same
+//!   RNG stream.
+//!
+//! The per-node operation sequence (child order, the zero short-circuit at
+//! AND nodes, the zero-partial skip in the downward pass, prefix/suffix
+//! products — including the multiplications by exact one the reference
+//! performs) is mirrored exactly, and model sampling visits OR nodes in the
+//! same order. Lowering only performs transformations that provably
+//! preserve bits: dead nodes are pruned (they never contribute), ⊤/⊥ become
+//! precomputed constants (the values the reference assigns), and an AND
+//! whose children are all constants is folded by running the reference
+//! recipe at lowering time. OR nodes are never folded — model sampling
+//! draws one random number per OR visit, so removing one would shift the
+//! stream.
 
 use crate::evaluate::AcWeights;
 use crate::lanes::{blocks_for, LaneBlock, LANE_WIDTH};
@@ -127,7 +145,7 @@ pub struct AcTape {
     /// Largest product-node arity on the tape (`And2` counts as 2; 0 when
     /// the tape has no product nodes). Derived — computed by lowering and
     /// re-derived at wire decode, never serialized — and used by the
-    /// batched downward sweeps to size their suffix-stash scratch once per
+    /// batch cone downward sweep to size its suffix-stash scratch once per
     /// pass instead of once per node.
     max_and_arity: u32,
     /// Process-unique identity of this lowering (shared by clones, which
@@ -316,7 +334,7 @@ impl AcTape {
     }
 
     /// One past the largest weight slot any literal instruction reads: the
-    /// minimum [`AcWeights::num_slots`] a weight vector must cover for the
+    /// minimum number of weight slots a weight vector must cover for the
     /// kernels to accept it.
     pub fn required_weight_slots(&self) -> u32 {
         self.weight_slots
@@ -729,15 +747,14 @@ pub struct TapeEvaluator {
     /// Per-slot lane-blocked values for the batch kernels (node-major,
     /// `⌈k/W⌉` [`LaneBlock`]s per slot). Grow-only, like `values`.
     bvalues: Vec<LaneBlock>,
-    /// Per-slot lane-blocked partials for the batch downward sweeps.
+    /// Per-slot lane-blocked partials for the batch cone downward sweep.
     bpartials: Vec<LaneBlock>,
-    /// Blocked suffix-stash / suffix / accumulator / partial-copy scratch
-    /// for the batch downward sweeps. `bprefix` is sized once per pass
-    /// from the tape's [`AcTape::max_and_arity`].
+    /// Blocked suffix-stash / suffix / accumulator scratch for the batch
+    /// cone downward sweep and its contraction. `bprefix` is sized once
+    /// per pass from the tape's [`AcTape::max_and_arity`].
     bprefix: Vec<LaneBlock>,
     bsuffix: Vec<LaneBlock>,
     bacc: Vec<LaneBlock>,
-    bpcopy: Vec<LaneBlock>,
     /// Unpacked live lanes of the batch root row — the persistent backing
     /// of the `&[Complex]` slices the batch upward passes return.
     root_out: Vec<Complex>,
@@ -796,9 +813,9 @@ enum ValuesMode {
     /// ([`TapeEvaluator::evaluate_batch`]); valid for batch delta passes
     /// with the same lane count.
     BatchEvaluate,
-    /// Lane-strided full-product upward values (the batch differential
-    /// passes); valid for batch differential delta passes with the same
-    /// lane count.
+    /// Lane-strided full-product upward values
+    /// ([`TapeEvaluator::differentials_cone_batch`]); valid for its delta
+    /// pass with the same lane count.
     BatchDiffUpward,
 }
 
@@ -1073,8 +1090,9 @@ impl TapeEvaluator {
     /// Combined upward + downward pass: returns the root value and leaves
     /// the partial derivative of the root with respect to every slot in
     /// this evaluator, readable through [`TapeEvaluator::wrt_lit`] /
-    /// [`TapeEvaluator::wrt_slot`] until the next pass. Bit-for-bit equal
-    /// to [`evaluate_with_differentials`](crate::evaluate_with_differentials())
+    /// [`TapeEvaluator::take_differentials`] until the next pass.
+    /// Bit-for-bit equal to
+    /// [`evaluate_with_differentials`](crate::evaluate_with_differentials())
     /// (same full AND products upward, same prefix/suffix sweep and
     /// zero-partial skip downward — including the reference's
     /// multiplications by exact one). Zero allocations after warmup.
@@ -1145,128 +1163,6 @@ impl TapeEvaluator {
         self.downward(tape)
     }
 
-    /// [`differentials`](TapeEvaluator::differentials) with the downward
-    /// half restricted to a precomputed ancestor cone: partials at every
-    /// cone slot (in particular the cone's seed slots) are bit-for-bit the
-    /// full pass's, while the often much larger rest of the tape is never
-    /// visited. Slots *outside* the cone keep stale partials — read the
-    /// result only through plans whose slots seeded the cone
-    /// ([`contract_tangent`](TapeEvaluator::contract_tangent)); the general
-    /// [`wrt_lit`](TapeEvaluator::wrt_lit) /
-    /// [`take_differentials`](TapeEvaluator::take_differentials) accessors
-    /// require a full pass.
-    pub fn differentials_cone(
-        &mut self,
-        tape: &AcTape,
-        weights: &AcWeights,
-        cone: &DiffCone,
-    ) -> Complex {
-        tape.check_weights(weights.num_slots());
-        self.upward_full_products(tape, weights);
-        self.downward_cone(tape, cone)
-    }
-
-    /// [`differentials_delta`](TapeEvaluator::differentials_delta) with the
-    /// downward half restricted to `cone` — the analytic-gradient hot loop.
-    /// A Gray-adjacent evidence flip pays one dirty-cone upward delta plus
-    /// one downward sweep over the tangent literals' ancestors, instead of
-    /// two full tape scans. Same partials-validity caveat as
-    /// [`differentials_cone`](TapeEvaluator::differentials_cone); same
-    /// full-pass fallback as
-    /// [`differentials_delta`](TapeEvaluator::differentials_delta).
-    pub fn differentials_cone_delta(
-        &mut self,
-        tape: &AcTape,
-        weights: &AcWeights,
-        changed_vars: &[u32],
-        cone: &DiffCone,
-    ) -> Complex {
-        if self.values_mode != ValuesMode::DiffUpward || self.values_stamp != tape.stamp {
-            return self.differentials_cone(tape, weights, cone);
-        }
-        tape.check_weights(weights.num_slots());
-        self.delta_update(tape, weights, changed_vars, true);
-        self.downward_cone(tape, cone)
-    }
-
-    /// The downward sweep restricted to an ancestor cone. Every parent of
-    /// a cone slot is itself a cone slot (the cone is an ancestor
-    /// closure), so each cone slot receives exactly the contributions the
-    /// full sweep gives it — same descending order, same zero-partial
-    /// skip, same per-node multiplication sequence — and its partial is
-    /// bit-for-bit the full sweep's.
-    fn downward_cone(&mut self, tape: &AcTape, cone: &DiffCone) -> Complex {
-        debug_assert_eq!(cone.stamp, tape.stamp, "cone built for a different tape");
-        let n = tape.ops.len();
-        let values = &self.values[..n];
-        if self.partials.len() < n {
-            self.partials.resize(n, C_ZERO);
-        }
-        self.partial_lanes = 1;
-        let partials = &mut self.partials[..n];
-        for &s in &cone.slots {
-            partials[s as usize] = C_ZERO;
-        }
-        if cone.slots.is_empty() {
-            return values[tape.root as usize];
-        }
-        partials[tape.root as usize] = C_ONE;
-        for &slot in cone.slots.iter().rev() {
-            let i = slot as usize;
-            let p = partials[i];
-            if p == C_ZERO {
-                continue;
-            }
-            let op = tape.ops[i];
-            match op.kind {
-                TapeOpKind::And2 => {
-                    let va = values[op.a as usize];
-                    let vb = values[op.b as usize];
-                    if cone.member[op.a as usize] {
-                        partials[op.a as usize] += p * (C_ONE * vb);
-                    }
-                    if cone.member[op.b as usize] {
-                        partials[op.b as usize] += (p * va) * C_ONE;
-                    }
-                }
-                TapeOpKind::And => {
-                    let cs = &tape.edges[op.a as usize..op.b as usize];
-                    // Stash the suffix from the right; the forward sweep
-                    // then carries pq = p·(prefix product) so each member
-                    // contribution costs a single multiply.
-                    self.prefix.clear();
-                    self.prefix.resize(cs.len(), C_ONE);
-                    // The suffix accumulates over every child (the product
-                    // sequence must match the full sweep's); only the adds
-                    // into non-cone children are skipped — they can never
-                    // flow back into a cone slot.
-                    let mut suffix = C_ONE;
-                    for (k, &c) in cs.iter().enumerate().rev() {
-                        self.prefix[k] = suffix;
-                        suffix *= values[c as usize];
-                    }
-                    let mut pq = p;
-                    for (k, &c) in cs.iter().enumerate() {
-                        if cone.member[c as usize] {
-                            partials[c as usize] += pq * self.prefix[k];
-                        }
-                        pq *= values[c as usize];
-                    }
-                }
-                TapeOpKind::Or => {
-                    if cone.member[op.a as usize] {
-                        partials[op.a as usize] += p;
-                    }
-                    if cone.member[op.b as usize] {
-                        partials[op.b as usize] += p;
-                    }
-                }
-                _ => {}
-            }
-        }
-        values[tape.root as usize]
-    }
-
     /// The downward (partial-derivative) sweep over the current
     /// full-product `values` buffer. Returns the root value.
     fn downward(&mut self, tape: &AcTape) -> Complex {
@@ -1333,14 +1229,6 @@ impl TapeEvaluator {
     pub fn wrt_lit(&self, tape: &AcTape, lit: Lit) -> Option<Complex> {
         debug_assert_eq!(self.partial_lanes, 1, "scalar read after batch pass");
         tape.lit_slot(lit).map(|s| self.partials[s as usize])
-    }
-
-    /// The partial derivative of the root with respect to tape slot `slot`
-    /// from the most recent scalar differentials pass.
-    #[inline]
-    pub fn wrt_slot(&self, slot: TapeId) -> Complex {
-        debug_assert_eq!(self.partial_lanes, 1, "scalar read after batch pass");
-        self.partials[slot as usize]
     }
 
     /// Snapshot of the most recent scalar differentials pass, owning its
@@ -1556,23 +1444,6 @@ impl TapeEvaluator {
         }
     }
 
-    /// Batched upward + downward pass: per-lane root values and partials.
-    /// Lane `l` matches the scalar differentials pass bit-for-bit (same
-    /// per-lane zero-partial skip). Read results through
-    /// [`value_lane`](TapeEvaluator::value_lane) /
-    /// [`wrt_lit_lane`](TapeEvaluator::wrt_lit_lane).
-    pub fn differentials_batch(&mut self, tape: &AcTape, weights: &AcWeightsBatch) {
-        let k = weights.lanes();
-        self.partial_lanes = k;
-        self.value_lanes = k;
-        if k == 0 {
-            return;
-        }
-        tape.check_weights(weights.num_slots());
-        self.upward_full_products_batch(tape, weights, k);
-        self.downward_batch(tape, k);
-    }
-
     /// The lane-strided full-product upward half shared by the batch
     /// differential passes; flags the buffer for batch differential delta
     /// reuse.
@@ -1619,106 +1490,14 @@ impl TapeEvaluator {
         }
     }
 
-    /// The full-tape batch downward sweep over the current lane-strided
-    /// full-product `values` buffer.
-    fn downward_batch(&mut self, tape: &AcTape, k: usize) {
-        let n = tape.ops.len();
-        let nb = blocks_for(k);
-        let values = &self.bvalues[..n * nb];
-        if self.bpartials.len() < n * nb {
-            self.bpartials.resize(n * nb, LaneBlock::ZERO);
-        }
-        self.partial_lanes = k;
-        let partials = &mut self.bpartials[..n * nb];
-        partials.fill(LaneBlock::ZERO);
-        let root_row = tape.root as usize * nb;
-        // The root partial seed is MASKED: live lanes start at one, dead
-        // remainder lanes at zero — so dead-lane partials stay zero and
-        // the all-zero row skips fire exactly as with a full block.
-        masked_ones_row(&mut partials[root_row..root_row + nb], k);
-        self.bsuffix.clear();
-        self.bsuffix.resize(nb, LaneBlock::ONE);
-        self.bacc.clear();
-        self.bacc.resize(nb, LaneBlock::ONE);
-        // The stash is pre-sized once from the tape's maximum AND arity
-        // (grow-only); the backward scan overwrites every entry the
-        // forward scan reads, so no per-slot fill is needed.
-        let stash = tape.max_and_arity as usize * nb;
-        if self.bprefix.len() < stash {
-            self.bprefix.resize(stash, LaneBlock::ZERO);
-        }
-        for (i, op) in tape.ops.iter().enumerate().rev() {
-            let row = i * nb;
-            match op.kind {
-                TapeOpKind::And2 | TapeOpKind::And => {
-                    let p_row = &partials[row..row + nb];
-                    if p_row.iter().all(LaneBlock::all_zero) {
-                        continue;
-                    }
-                    self.bpcopy.clear();
-                    self.bpcopy.extend_from_slice(p_row);
-                    let pair = [op.a, op.b];
-                    let cs: &[TapeId] = if op.kind == TapeOpKind::And2 {
-                        &pair
-                    } else {
-                        &tape.edges[op.a as usize..op.b as usize]
-                    };
-                    // `bprefix` stashes the SUFFIX Π_{j>c} v_j from the
-                    // right; the forward sweep carries pq = p·Π_{j<c} v_j
-                    // in `bacc`, exactly as the scalar kernel.
-                    self.bsuffix.fill(LaneBlock::ONE);
-                    for (ci, &c) in cs.iter().enumerate().rev() {
-                        self.bprefix[ci * nb..ci * nb + nb].copy_from_slice(&self.bsuffix);
-                        let child = &values[c as usize * nb..c as usize * nb + nb];
-                        for (s, v) in self.bsuffix.iter_mut().zip(child) {
-                            s.mul_assign(v);
-                        }
-                    }
-                    self.bacc[..nb].copy_from_slice(&self.bpcopy);
-                    for (ci, &c) in cs.iter().enumerate() {
-                        let crow = c as usize * nb;
-                        for bi in 0..nb {
-                            // Per-lane zero-partial select keeps each
-                            // lane's accumulation sequence identical to
-                            // scalar.
-                            let pq = self.bacc[bi];
-                            partials[crow + bi].add_mul_where(
-                                &self.bpcopy[bi],
-                                &pq,
-                                &self.bprefix[ci * nb + bi],
-                            );
-                        }
-                        let child = &values[crow..crow + nb];
-                        for (a, v) in self.bacc.iter_mut().zip(child) {
-                            a.mul_assign(v);
-                        }
-                    }
-                }
-                TapeOpKind::Or => {
-                    let arow = op.a as usize * nb;
-                    let brow = op.b as usize * nb;
-                    // Children precede parents, so both child rows sit in
-                    // `head` and the borrow split is disjoint.
-                    let (head, tail) = partials.split_at_mut(row);
-                    let p_row = &tail[..nb];
-                    for (bi, p) in p_row.iter().enumerate() {
-                        head[arow + bi].add_where_nonzero(p);
-                        head[brow + bi].add_where_nonzero(p);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Batched [`differentials_cone`](TapeEvaluator::differentials_cone):
-    /// lane-strided full-product upward plus a cone-restricted batch
-    /// downward. Lane `l`'s partials at every cone slot are bit-for-bit
-    /// the scalar [`differentials_cone`](TapeEvaluator::differentials_cone)
-    /// of that lane's weights (hence bit-for-bit the full scalar
-    /// [`differentials`](TapeEvaluator::differentials) there). Read root
-    /// values through [`value_lane`](TapeEvaluator::value_lane) and
-    /// contractions through
+    /// Batched [`differentials`](TapeEvaluator::differentials) with the
+    /// downward half restricted to an ancestor cone: lane-strided
+    /// full-product upward plus a cone-restricted batch downward. Lane
+    /// `l`'s root and its partials at every cone slot are bit-for-bit the
+    /// full scalar [`differentials`](TapeEvaluator::differentials) of that
+    /// lane's weights, while the often much larger rest of the tape is
+    /// never visited downward. Read root values through
+    /// [`value_lane`](TapeEvaluator::value_lane) and contractions through
     /// [`contract_tangent_broadcast`](TapeEvaluator::contract_tangent_broadcast);
     /// partials outside the cone are stale.
     ///
@@ -1776,7 +1555,7 @@ impl TapeEvaluator {
     }
 
     /// Hints the CPU to start pulling the block row starting at `buf[at]`
-    /// — the batched downward sweeps are latency-bound on scattered row
+    /// — the batch cone downward sweep is latency-bound on scattered row
     /// fetches (a few hundred cycles of stall against a couple hundred
     /// cycles of arithmetic per slot), so the hint is nearly free and
     /// hides most of the miss. No-op off x86_64.
@@ -1807,11 +1586,14 @@ impl TapeEvaluator {
         let _ = (buf, at);
     }
 
-    /// The cone-restricted batch downward sweep: the batch analogue of
-    /// [`downward_cone`](TapeEvaluator::downward_cone). Per-lane
-    /// accumulation sequences stay identical to the scalar cone sweep
+    /// The cone-restricted batch downward sweep. Every parent of a cone
+    /// slot is itself a cone slot (the cone is an ancestor closure), so each
+    /// cone slot receives exactly the contributions the full scalar sweep
+    /// gives it, in the same descending order and with the same per-node
+    /// multiplication sequence; per-lane accumulation therefore matches the
+    /// scalar [`differentials`](TapeEvaluator::differentials) bit for bit
     /// (zero-partial adds are bitwise no-ops, so the lane loops run
-    /// branchless).
+    /// branchless where the scalar sweep skips).
     fn downward_cone_batch(&mut self, tape: &AcTape, cone: &DiffCone, k: usize) {
         debug_assert_eq!(cone.stamp, tape.stamp, "cone built for a different tape");
         let n = tape.ops.len();
@@ -1989,80 +1771,34 @@ impl TapeEvaluator {
     }
 
     /// The root value of lane `lane` from the most recent batched pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below the pass's lane count.
     #[inline]
     pub fn value_lane(&self, tape: &AcTape, lane: usize) -> Complex {
+        assert!(
+            lane < self.value_lanes,
+            "lane {lane} out of range: the last pass filled {} lanes",
+            self.value_lanes
+        );
         let nb = blocks_for(self.value_lanes);
         self.bvalues[tape.root as usize * nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH)
     }
 
-    /// `∂f/∂w(lit)` in lane `lane` from the most recent
-    /// [`differentials_batch`](TapeEvaluator::differentials_batch) pass.
-    #[inline]
-    pub fn wrt_lit_lane(&self, tape: &AcTape, lit: Lit, lane: usize) -> Option<Complex> {
-        let nb = blocks_for(self.partial_lanes);
-        tape.lit_slot(lit)
-            .map(|s| self.bpartials[s as usize * nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH))
-    }
-
-    /// Gradient contraction over the most recent **scalar** differentials
-    /// pass: chain-rules the per-literal partials against one symbol's
-    /// precomputed weight tangents,
-    /// `∂root/∂θ = Σ_lit ∂root/∂w(lit) · d(w(lit))/dθ`.
-    ///
-    /// This is the one-pass analytic gradient kernel: ONE upward+downward
-    /// [`differentials`](TapeEvaluator::differentials) pass serves every
-    /// parameter simultaneously — each symbol costs one call here (a short
-    /// dot product over its nonzero tangent literals), not a re-evaluation.
-    /// Zero allocations; terms accumulate in the plan's literal order, so
-    /// results are deterministic bit-for-bit.
-    #[inline]
-    pub fn contract_tangent(&self, plan: &TangentPlan) -> Complex {
-        debug_assert_eq!(self.partial_lanes, 1, "scalar read after batch pass");
-        let mut acc = C_ZERO;
-        for &(slot, t) in &plan.entries {
-            acc += self.partials[slot as usize] * t;
-        }
-        acc
-    }
-
-    /// The `k`-lane analogue of
-    /// [`contract_tangent`](TapeEvaluator::contract_tangent) over the most
-    /// recent [`differentials_batch`](TapeEvaluator::differentials_batch)
-    /// pass: writes one contracted value per lane into `out`. Lane `l` is
-    /// bit-for-bit the scalar contraction of that lane's tangents (same
-    /// nonzero-tangent skip, same literal-order accumulation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the pass's lane count, or the
-    /// plan was built for a different lane count.
-    pub fn contract_tangent_lanes(&mut self, plan: &TangentPlanBatch, out: &mut [Complex]) {
-        let k = self.partial_lanes;
-        assert_eq!(plan.lanes, k, "plan lane count mismatch");
-        assert_eq!(out.len(), k, "output lane count mismatch");
-        let nb = blocks_for(k);
-        self.bacc.clear();
-        self.bacc.resize(nb, LaneBlock::ZERO);
-        for (e, &slot) in plan.slots.iter().enumerate() {
-            let prow = &self.bpartials[slot as usize * nb..slot as usize * nb + nb];
-            let trow = &plan.rows[e * nb..e * nb + nb];
-            for ((o, p), t) in self.bacc.iter_mut().zip(prow).zip(trow) {
-                // Per-lane zero-tangent select: a lane's add sequence is
-                // exactly its scalar plan's (which filters zeros out).
-                o.add_mul_where(t, p, t);
-            }
-        }
-        for (l, o) in out.iter_mut().enumerate() {
-            *o = self.bacc[l / LANE_WIDTH].get(l % LANE_WIDTH);
-        }
-    }
-
-    /// [`contract_tangent`](TapeEvaluator::contract_tangent) against the
-    /// most recent **batched** pass, broadcasting one scalar plan across
-    /// every lane — the basis-state-lane gradient loop, where lanes differ
-    /// in evidence but share the parameter binding (and therefore the
-    /// tangents). Lane `l` of `out` is bit-for-bit the scalar contraction
-    /// over that lane's partials (same plan-order accumulation).
+    /// Gradient contraction over the most recent
+    /// [`differentials_cone_batch`](TapeEvaluator::differentials_cone_batch)
+    /// pass: chain-rules each lane's per-literal partials against one
+    /// symbol's precomputed weight tangents,
+    /// `∂root/∂θ = Σ_lit ∂root/∂w(lit) · d(w(lit))/dθ`, broadcasting the
+    /// one plan across every lane — the basis-state-lane gradient loop,
+    /// where lanes differ in evidence but share the parameter binding (and
+    /// therefore the tangents). One differentials pass serves every
+    /// symbol: each costs one call here (a short dot product over its
+    /// nonzero tangent literals), not a re-evaluation. Lane `l` of `out`
+    /// is bit-for-bit the plan-order sum `Σ partial·tangent` over that
+    /// lane's scalar partials, starting from zero. Zero allocations after
+    /// warmup.
     ///
     /// # Panics
     ///
@@ -2118,8 +1854,10 @@ impl TapeEvaluator {
     /// [`model_magnitudes`](TapeEvaluator::model_magnitudes) pass, and
     /// appends the literals along the sampled model to `lits` (cleared
     /// first). Visits OR nodes in the same order as the enum-walk
-    /// [`sample_model`](crate::sample_model()), so it consumes the
-    /// identical RNG stream and yields the identical model.
+    /// `sample_model` reference, so it consumes the identical RNG stream
+    /// and yields the identical model. Draw only after a positive root
+    /// magnitude: when it is zero no model has nonzero weight magnitude,
+    /// and every OR choice is a coin flip.
     ///
     /// # Panics
     ///
@@ -2157,24 +1895,6 @@ impl TapeEvaluator {
                 TapeOpKind::Const => {}
             }
         }
-    }
-
-    /// Samples one model of the circuit, with branch choices weighted by
-    /// the absolute literal weights — magnitude pass plus descent in one
-    /// call, bit-for-bit the enum-walk [`sample_model`](crate::sample_model()).
-    /// Returns `None` if no model has nonzero weight magnitude.
-    pub fn sample_model<R: rand::Rng + ?Sized>(
-        &mut self,
-        tape: &AcTape,
-        weights: &AcWeights,
-        rng: &mut R,
-    ) -> Option<Vec<Lit>> {
-        if self.model_magnitudes(tape, weights) <= 0.0 {
-            return None;
-        }
-        let mut lits = Vec::new();
-        self.draw_model(tape, rng, &mut lits);
-        Some(lits)
     }
 }
 
@@ -2262,18 +1982,13 @@ impl<'t> TapeDifferentials<'t> {
     pub fn wrt_lit(&self, lit: Lit) -> Option<Complex> {
         self.tape.lit_slot(lit).map(|s| self.partials[s as usize])
     }
-
-    /// The partial derivative of the root with respect to tape slot `slot`.
-    pub fn wrt_slot(&self, slot: TapeId) -> Complex {
-        self.partials[slot as usize]
-    }
 }
 
 /// The ancestor closure of a set of target tape slots: every slot from
 /// which some target is reachable, targets included. Partial derivatives
 /// flow strictly downward (a slot's partial is fed only by its parents),
 /// so a downward sweep restricted to this cone
-/// ([`TapeEvaluator::differentials_cone`]) produces partials at the
+/// ([`TapeEvaluator::differentials_cone_batch`]) produces partials at the
 /// targets bit-for-bit equal to the full sweep's — every parent of a cone
 /// member is itself a cone member, so no contribution is lost — while the
 /// rest of the tape is never cleared or visited.
@@ -2354,8 +2069,8 @@ impl DiffCone {
 /// that tangent. Tangents arrive in the same interleaved [`AcWeights`] slot
 /// layout as the weights themselves; the plan resolves literals to tape
 /// slots once — through the tape's existing literal→slot table — so each
-/// per-assignment [`TapeEvaluator::contract_tangent`] call is a dense dot
-/// product with no lookups.
+/// per-pass [`TapeEvaluator::contract_tangent_broadcast`] call is a dense
+/// dot product with no lookups.
 #[derive(Debug, Clone, Default)]
 pub struct TangentPlan {
     entries: Vec<(TapeId, Complex)>,
@@ -2394,59 +2109,6 @@ impl TangentPlan {
     }
 }
 
-/// The `k`-lane analogue of [`TangentPlan`]: keeps every literal whose
-/// tangent is nonzero in *any* lane, with the full tangent block row per
-/// kept slot (lane-blocked split-plane layout, dead remainder lanes zero).
-/// Consumed by [`TapeEvaluator::contract_tangent_lanes`], whose per-lane
-/// zero-select restores bit-identity with the scalar plan.
-#[derive(Debug, Clone, Default)]
-pub struct TangentPlanBatch {
-    slots: Vec<TapeId>,
-    rows: Vec<LaneBlock>,
-    lanes: usize,
-}
-
-impl TangentPlanBatch {
-    /// Builds a plan from a tangent batch laid out like [`AcWeightsBatch`].
-    pub fn new(tape: &AcTape, tangents: &AcWeightsBatch) -> Self {
-        let lanes = tangents.lanes();
-        let mut slots = Vec::new();
-        let mut rows = Vec::new();
-        for &(lit, slot) in tape.lit_slots() {
-            let row = tangents.row_blocks(lit);
-            // Dead remainder lanes are zero in the container, so an
-            // any-nonzero block test is exactly an any-live-lane test.
-            if row.iter().any(|b| !b.all_zero()) {
-                slots.push(slot);
-                rows.extend_from_slice(row);
-            }
-        }
-        Self { slots, rows, lanes }
-    }
-
-    /// Lane count the plan was built for.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of kept slots (literals nonzero in at least one lane).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The tape slots carrying a nonzero tangent in some lane, in plan
-    /// order — the batch analogue of [`TangentPlan::slots`], consumed by
-    /// the verifier's tangent-plan liveness pass.
-    pub fn slots(&self) -> impl Iterator<Item = TapeId> + '_ {
-        self.slots.iter().copied()
-    }
-
-    /// True when no lane carries this symbol.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2482,6 +2144,34 @@ mod tests {
             );
         }
         w
+    }
+
+    /// Scatters per-lane weight vectors into one batch.
+    fn batch_of(lanes: &[AcWeights]) -> AcWeightsBatch {
+        let num_vars = lanes[0].num_vars();
+        let mut batch = AcWeightsBatch::uniform(num_vars, lanes.len());
+        for (lane, w) in lanes.iter().enumerate() {
+            for v in 1..=num_vars as u32 {
+                batch.set_lane(v, lane, w.get(v as Lit), w.get(-(v as Lit)));
+            }
+        }
+        batch
+    }
+
+    /// Model sampling as the Gibbs chain drives it: one magnitude pass,
+    /// then one descent if some model has nonzero weight magnitude.
+    fn draw(
+        eval: &mut TapeEvaluator,
+        tape: &AcTape,
+        weights: &AcWeights,
+        rng: &mut StdRng,
+    ) -> Option<Vec<Lit>> {
+        if eval.model_magnitudes(tape, weights) <= 0.0 {
+            return None;
+        }
+        let mut lits = Vec::new();
+        eval.draw_model(tape, rng, &mut lits);
+        Some(lits)
     }
 
     #[test]
@@ -2679,25 +2369,27 @@ mod tests {
             let got = eval.evaluate_batch(&tape, &batch).to_vec();
             for (lane, (&g, &w)) in got.iter().zip(&want).enumerate() {
                 assert!(bits_eq(g, w), "k={k} lane {lane}");
-            }
-            let reference = crate::evaluate_with_differentials_batch(&nnf, &batch);
-            eval.differentials_batch(&tape, &batch);
-            for lane in 0..k {
-                assert!(bits_eq(eval.value_lane(&tape, lane), reference.value(lane)));
-                for v in 1..=3i32 {
-                    for lit in [v, -v] {
-                        assert_eq!(
-                            eval.wrt_lit_lane(&tape, lit, lane)
-                                .map(|c| (c.re.to_bits(), c.im.to_bits())),
-                            reference
-                                .wrt_lit(lit, lane)
-                                .map(|c| (c.re.to_bits(), c.im.to_bits())),
-                            "k={k} lane {lane} lit {lit}"
-                        );
-                    }
-                }
+                assert!(
+                    bits_eq(eval.value_lane(&tape, lane), w),
+                    "k={k} lane {lane}"
+                );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 3 out of range")]
+    fn value_lane_rejects_lanes_past_the_last_pass() {
+        let nnf = test_nnf();
+        let tape = AcTape::lower(&nnf);
+        let mut eval = TapeEvaluator::new();
+        let roots = eval
+            .evaluate_batch(&tape, &AcWeightsBatch::uniform(3, 3))
+            .to_vec();
+        assert!(bits_eq(eval.value_lane(&tape, 2), roots[2]));
+        // Lane 3 is a dead remainder lane of the only block: no pass
+        // filled it for the caller.
+        eval.value_lane(&tape, 3);
     }
 
     #[test]
@@ -2710,7 +2402,7 @@ mod tests {
             let mut rng_enum = StdRng::seed_from_u64(seed);
             let mut rng_tape = StdRng::seed_from_u64(seed);
             let want = sample_model(&nnf, &w, &mut rng_enum);
-            let got = eval.sample_model(&tape, &w, &mut rng_tape);
+            let got = draw(&mut eval, &tape, &w, &mut rng_tape);
             assert_eq!(got, want, "seed {seed}");
             // Identical downstream state proves identical RNG consumption.
             assert_eq!(rng_enum.gen::<u64>(), rng_tape.gen::<u64>(), "seed {seed}");
@@ -2743,10 +2435,9 @@ mod tests {
         let c = compile(&f, &CompileOptions::default());
         let tape = AcTape::lower(&c.nnf);
         let mut eval = TapeEvaluator::new();
+        assert_eq!(eval.model_magnitudes(&tape, &AcWeights::uniform(1)), 0.0);
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(eval
-            .sample_model(&tape, &AcWeights::uniform(1), &mut rng)
-            .is_none());
+        assert!(sample_model(&c.nnf, &AcWeights::uniform(1), &mut rng).is_none());
     }
 
     #[test]
@@ -3104,9 +2795,23 @@ mod tests {
                 let mut ra = StdRng::seed_from_u64(7 + seed);
                 let mut rb = StdRng::seed_from_u64(7 + seed);
                 assert_eq!(
-                    ea.sample_model(&tape, &w, &mut ra),
-                    eb.sample_model(&back, &w, &mut rb)
+                    draw(&mut ea, &tape, &w, &mut ra),
+                    draw(&mut eb, &back, &w, &mut rb)
                 );
+                // The gradient kernels: a cone-restricted batch
+                // differentials pass and the broadcast contraction.
+                let batch = batch_of(&[w.clone(), random_weights(6, &mut rng)]);
+                let t = random_tangents(6, &mut rng);
+                let (plan_a, plan_b) = (TangentPlan::new(&tape, &t), TangentPlan::new(&back, &t));
+                ea.differentials_cone_batch(&tape, &batch, &DiffCone::new(&tape, plan_a.slots()));
+                eb.differentials_cone_batch(&back, &batch, &DiffCone::new(&back, plan_b.slots()));
+                let (mut ca, mut cb) = ([C_ZERO; 2], [C_ZERO; 2]);
+                ea.contract_tangent_broadcast(&plan_a, &mut ca);
+                eb.contract_tangent_broadcast(&plan_b, &mut cb);
+                for l in 0..2 {
+                    assert!(bits_eq(ea.value_lane(&tape, l), eb.value_lane(&back, l)));
+                    assert!(bits_eq(ca[l], cb[l]), "seed {seed} lane {l} contraction");
+                }
             }
         }
     }
@@ -3205,85 +2910,94 @@ mod tests {
         t
     }
 
-    #[test]
-    fn contract_tangent_matches_directional_derivative() {
-        // ∂root/∂θ contracted from one differentials pass must match the
-        // finite difference of `evaluate` along the tangent direction:
-        // the AC is multilinear in its weights, so the FD is tight.
-        let nnf = test_nnf();
-        let tape = AcTape::lower(&nnf);
-        let mut eval = TapeEvaluator::new();
-        let mut rng = StdRng::seed_from_u64(91);
-        for _ in 0..20 {
-            let w = random_weights(3, &mut rng);
-            let t = random_tangents(3, &mut rng);
-            let plan = TangentPlan::new(&tape, &t);
-            eval.differentials(&tape, &w);
-            let analytic = eval.contract_tangent(&plan);
-            // Manual chain rule straight off the partials buffer.
-            let mut manual = C_ZERO;
-            for v in 1..=3u32 {
-                for lit in [v as Lit, -(v as Lit)] {
-                    if let Some(p) = eval.wrt_lit(&tape, lit) {
-                        manual += p * t.get(lit);
-                    }
-                }
-            }
-            assert!(analytic.approx_eq(manual, 1e-12));
-            // Central finite difference along the tangent direction.
-            let h = 1e-6;
-            let shift = |s: f64| {
-                let mut ws = AcWeights::uniform(3);
-                for v in 1..=3u32 {
-                    ws.set(
-                        v,
-                        w.get(v as Lit) + t.get(v as Lit).scale(s),
-                        w.get(-(v as Lit)) + t.get(-(v as Lit)).scale(s),
-                    );
-                }
-                let mut e = TapeEvaluator::new();
-                e.evaluate(&tape, &ws)
-            };
-            let fd = (shift(h) - shift(-h)).scale(1.0 / (2.0 * h));
+    /// The plan-order contraction `Σ partial·tangent`, from zero, over the
+    /// partials of the evaluator's last scalar differentials pass: the
+    /// value every lane of `contract_tangent_broadcast` must reproduce.
+    fn scalar_contraction(eval: &TapeEvaluator, plan: &TangentPlan) -> Complex {
+        let mut acc = C_ZERO;
+        for &(slot, t) in &plan.entries {
+            acc += eval.partials[slot as usize] * t;
+        }
+        acc
+    }
+
+    /// Asserts that every lane of `eval`'s last cone-batch pass matches a
+    /// full scalar `differentials` pass of that lane's weights bit for
+    /// bit: the root, and the plan-order contraction.
+    fn assert_cone_lanes_match_scalar(
+        eval: &mut TapeEvaluator,
+        tape: &AcTape,
+        plan: &TangentPlan,
+        lanes: &[AcWeights],
+        what: &str,
+    ) {
+        let mut contracted = vec![C_ZERO; lanes.len()];
+        eval.contract_tangent_broadcast(plan, &mut contracted);
+        let mut scalar = TapeEvaluator::new();
+        for (l, w) in lanes.iter().enumerate() {
+            let root = scalar.differentials(tape, w);
             assert!(
-                analytic.approx_eq(fd, 1e-7),
-                "analytic {analytic:?} vs fd {fd:?}"
+                bits_eq(eval.value_lane(tape, l), root),
+                "{what}: lane {l} root"
+            );
+            assert!(
+                bits_eq(contracted[l], scalar_contraction(&scalar, plan)),
+                "{what}: lane {l} contraction"
             );
         }
     }
 
     #[test]
-    fn contract_tangent_lanes_bit_identical_to_scalar() {
+    fn contract_tangent_matches_directional_derivative() {
+        // ∂root/∂θ contracted from one cone-batch pass must match, in every
+        // lane, the finite difference of `evaluate` along the tangent
+        // direction: the AC is multilinear in its weights, so the FD is
+        // tight.
         let nnf = test_nnf();
         let tape = AcTape::lower(&nnf);
-        let mut rng = StdRng::seed_from_u64(23);
-        for lanes in [4usize, LANE_WIDTH, LANE_WIDTH + 1, 2 * LANE_WIDTH + 3] {
-            let mut batch_w = AcWeightsBatch::uniform(3, lanes);
-            let mut batch_t = AcWeightsBatch::zeros(3, lanes);
-            let mut scalar_w = Vec::new();
-            let mut scalar_t = Vec::new();
-            for l in 0..lanes {
-                let w = random_weights(3, &mut rng);
-                let t = random_tangents(3, &mut rng);
+        let mut eval = TapeEvaluator::new();
+        let mut rng = StdRng::seed_from_u64(91);
+        for _ in 0..20 {
+            let lanes: Vec<AcWeights> = (0..3).map(|_| random_weights(3, &mut rng)).collect();
+            let t = random_tangents(3, &mut rng);
+            let plan = TangentPlan::new(&tape, &t);
+            eval.differentials_cone_batch(
+                &tape,
+                &batch_of(&lanes),
+                &DiffCone::new(&tape, plan.slots()),
+            );
+            let mut analytic = [C_ZERO; 3];
+            eval.contract_tangent_broadcast(&plan, &mut analytic);
+            for (w, &analytic) in lanes.iter().zip(&analytic) {
+                // Manual chain rule straight off a scalar pass's partials.
+                let mut scalar = TapeEvaluator::new();
+                scalar.differentials(&tape, w);
+                let mut manual = C_ZERO;
                 for v in 1..=3u32 {
-                    batch_w.set_lane(v, l, w.get(v as Lit), w.get(-(v as Lit)));
-                    batch_t.set_lane(v, l, t.get(v as Lit), t.get(-(v as Lit)));
+                    for lit in [v as Lit, -(v as Lit)] {
+                        if let Some(p) = scalar.wrt_lit(&tape, lit) {
+                            manual += p * t.get(lit);
+                        }
+                    }
                 }
-                scalar_w.push(w);
-                scalar_t.push(t);
-            }
-            let plan = TangentPlanBatch::new(&tape, &batch_t);
-            let mut eval = TapeEvaluator::new();
-            eval.differentials_batch(&tape, &batch_w);
-            let mut out = vec![C_ZERO; lanes];
-            eval.contract_tangent_lanes(&plan, &mut out);
-            for l in 0..lanes {
-                let mut se = TapeEvaluator::new();
-                se.differentials(&tape, &scalar_w[l]);
-                let sp = TangentPlan::new(&tape, &scalar_t[l]);
+                assert!(analytic.approx_eq(manual, 1e-12));
+                // Central finite difference along the tangent direction.
+                let h = 1e-6;
+                let shift = |s: f64| {
+                    let mut ws = AcWeights::uniform(3);
+                    for v in 1..=3u32 {
+                        ws.set(
+                            v,
+                            w.get(v as Lit) + t.get(v as Lit).scale(s),
+                            w.get(-(v as Lit)) + t.get(-(v as Lit)).scale(s),
+                        );
+                    }
+                    TapeEvaluator::new().evaluate(&tape, &ws)
+                };
+                let fd = (shift(h) - shift(-h)).scale(1.0 / (2.0 * h));
                 assert!(
-                    bits_eq(out[l], se.contract_tangent(&sp)),
-                    "lane {l} of {lanes} diverges from scalar"
+                    analytic.approx_eq(fd, 1e-7),
+                    "analytic {analytic:?} vs fd {fd:?}"
                 );
             }
         }
@@ -3291,57 +3005,120 @@ mod tests {
 
     #[test]
     fn cone_restricted_differentials_are_bit_identical_to_full() {
-        // Random CNFs, random weight/tangent draws, single-variable delta
-        // steps: the cone-restricted sweeps must contract bit-for-bit like
-        // the full sweeps — through both the fresh-evaluator (full upward)
-        // path and the delta upward path.
-        for seed in 0..10u64 {
-            let f = random_cnf(6, 9, seed);
-            let compiled = compile(&f, &CompileOptions::default());
-            let groups: Vec<Vec<i32>> = (1..=6).map(|v| vec![v, -v]).collect();
-            let nnf = smooth(&compiled.nnf, &groups);
-            let tape = AcTape::lower(&nnf);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xC0);
-            let t = random_tangents(6, &mut rng);
-            let plan = TangentPlan::new(&tape, &t);
-            let cone = DiffCone::new(&tape, plan.slots());
-            assert!(cone.len() <= tape.num_ops());
-            assert_eq!(cone.is_empty(), plan.is_empty());
-            let mut full = TapeEvaluator::new();
-            let mut coned = TapeEvaluator::new();
-            let mut w = random_weights(6, &mut rng);
-            let a = full.differentials(&tape, &w);
-            let b = coned.differentials_cone(&tape, &w, &cone);
-            assert!(bits_eq(a, b), "seed {seed} root (full upward)");
-            assert!(
-                bits_eq(full.contract_tangent(&plan), coned.contract_tangent(&plan)),
-                "seed {seed} contraction (full upward)"
-            );
-            for step in 0..50 {
-                // Evidence-like 0/1 weights fire the zero-partial skips.
-                let v = 1 + rng.gen_range(0..6) as u32;
-                let (pos, neg) = if rng.gen::<f64>() < 0.5 {
+        // Random CNFs, random per-lane weights, one shared tangent plan,
+        // single-variable delta steps: every lane of the cone-batch kernels
+        // must match a full scalar differentials pass of that lane's
+        // weights — through the fresh-evaluator (full upward) path and the
+        // delta upward path, under shared evidence writes (the Gray-sweep
+        // case) and per-lane parameter writes, at widths around the block
+        // boundary: 1, W−1, W, W+1, 2W+3.
+        for k in [
+            1,
+            LANE_WIDTH - 1,
+            LANE_WIDTH,
+            LANE_WIDTH + 1,
+            2 * LANE_WIDTH + 3,
+        ] {
+            for seed in 0..4u64 {
+                let f = random_cnf(6, 9, seed);
+                let compiled = compile(&f, &CompileOptions::default());
+                let groups: Vec<Vec<i32>> = (1..=6).map(|v| vec![v, -v]).collect();
+                let nnf = smooth(&compiled.nnf, &groups);
+                let tape = AcTape::lower(&nnf);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xC0 ^ ((k as u64) << 8));
+                let t = random_tangents(6, &mut rng);
+                let plan = TangentPlan::new(&tape, &t);
+                let cone = DiffCone::new(&tape, plan.slots());
+                assert!(cone.len() <= tape.num_ops());
+                assert_eq!(cone.is_empty(), plan.is_empty());
+                let mut lanes: Vec<AcWeights> =
+                    (0..k).map(|_| random_weights(6, &mut rng)).collect();
+                let mut batch = batch_of(&lanes);
+                let mut coned = TapeEvaluator::new();
+                coned.differentials_cone_batch(&tape, &batch, &cone);
+                let what = format!("k={k} seed {seed} (full upward)");
+                assert_cone_lanes_match_scalar(&mut coned, &tape, &plan, &lanes, &what);
+                for step in 0..30 {
+                    let v = 1 + rng.gen_range(0..6) as u32;
                     if rng.gen::<bool>() {
-                        (C_ONE, C_ZERO)
+                        // Shared evidence: 0/1 weights fire the zero-partial
+                        // skips.
+                        let (pos, neg) = if rng.gen::<bool>() {
+                            (C_ONE, C_ZERO)
+                        } else {
+                            (C_ZERO, C_ONE)
+                        };
+                        batch.set_all(v, pos, neg);
+                        for w in &mut lanes {
+                            w.set(v, pos, neg);
+                        }
                     } else {
-                        (C_ZERO, C_ONE)
+                        for (lane, w) in lanes.iter_mut().enumerate() {
+                            let pos = Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5);
+                            let neg = Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5);
+                            batch.set_lane(v, lane, pos, neg);
+                            w.set(v, pos, neg);
+                        }
                     }
-                } else {
-                    (
-                        Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
-                        Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
-                    )
-                };
-                w.set(v, pos, neg);
-                let a = full.differentials_delta(&tape, &w, &[v]);
-                let b = coned.differentials_cone_delta(&tape, &w, &[v], &cone);
-                assert!(bits_eq(a, b), "seed {seed} step {step} root");
-                assert!(
-                    bits_eq(full.contract_tangent(&plan), coned.contract_tangent(&plan)),
-                    "seed {seed} step {step} contraction"
-                );
+                    coned.differentials_cone_batch_delta(&tape, &batch, &[v], &cone);
+                    let what = format!("k={k} seed {seed} step {step} (delta upward)");
+                    assert_cone_lanes_match_scalar(&mut coned, &tape, &plan, &lanes, &what);
+                }
             }
         }
+    }
+
+    /// A cone over every literal of `test_nnf`, with its plan.
+    fn full_plan(tape: &AcTape) -> (TangentPlan, DiffCone) {
+        let mut t = AcWeights::zeros(3);
+        for v in 1..=3u32 {
+            t.set(v, Complex::new(0.5, -0.25), Complex::new(-0.75, 0.125));
+        }
+        let plan = TangentPlan::new(tape, &t);
+        let cone = DiffCone::new(tape, plan.slots());
+        (plan, cone)
+    }
+
+    #[test]
+    fn cone_batch_delta_falls_back_on_lane_count_change() {
+        // The cached buffer is strided for the previous lane count, so a
+        // delta pass at another count — even one listing no changes —
+        // must run a full pass instead of reading stale rows.
+        let nnf = test_nnf();
+        let tape = AcTape::lower(&nnf);
+        let (plan, cone) = full_plan(&tape);
+        let mut rng = StdRng::seed_from_u64(67);
+        for (from, to) in [(4, 2), (LANE_WIDTH + 1, 2), (2, LANE_WIDTH + 1)] {
+            let before: Vec<AcWeights> = (0..from).map(|_| random_weights(3, &mut rng)).collect();
+            let after: Vec<AcWeights> = (0..to).map(|_| random_weights(3, &mut rng)).collect();
+            let mut eval = TapeEvaluator::new();
+            eval.differentials_cone_batch(&tape, &batch_of(&before), &cone);
+            eval.differentials_cone_batch_delta(&tape, &batch_of(&after), &[], &cone);
+            let what = format!("{from} lanes, then {to}");
+            assert_cone_lanes_match_scalar(&mut eval, &tape, &plan, &after, &what);
+        }
+    }
+
+    #[test]
+    fn cone_batch_delta_falls_back_after_evaluate_batch() {
+        // An `evaluate_batch` pass overwrites the lane-strided values with
+        // short-circuited products of other weights, so a delta pass that
+        // lists only the changes since the last cone pass must run a full
+        // pass instead of extending that buffer.
+        let nnf = test_nnf();
+        let tape = AcTape::lower(&nnf);
+        let (plan, cone) = full_plan(&tape);
+        let mut rng = StdRng::seed_from_u64(71);
+        let mut lanes: Vec<AcWeights> = (0..4).map(|_| random_weights(3, &mut rng)).collect();
+        let other: Vec<AcWeights> = (0..4).map(|_| random_weights(3, &mut rng)).collect();
+        let mut eval = TapeEvaluator::new();
+        eval.differentials_cone_batch(&tape, &batch_of(&lanes), &cone);
+        eval.evaluate_batch(&tape, &batch_of(&other));
+        for w in &mut lanes {
+            w.set(1, C_ZERO, C_ONE);
+        }
+        eval.differentials_cone_batch_delta(&tape, &batch_of(&lanes), &[1], &cone);
+        assert_cone_lanes_match_scalar(&mut eval, &tape, &plan, &lanes, "after evaluate_batch");
     }
 
     #[test]
@@ -3351,13 +3128,16 @@ mod tests {
         let cone = DiffCone::new(&tape, std::iter::empty());
         assert!(cone.is_empty());
         let mut rng = StdRng::seed_from_u64(7);
-        let w = random_weights(3, &mut rng);
+        let lanes: Vec<AcWeights> = (0..3).map(|_| random_weights(3, &mut rng)).collect();
         let mut eval = TapeEvaluator::new();
+        eval.differentials_cone_batch(&tape, &batch_of(&lanes), &cone);
         let mut reference = TapeEvaluator::new();
-        assert!(bits_eq(
-            eval.differentials_cone(&tape, &w, &cone),
-            reference.differentials(&tape, &w)
-        ));
+        for (l, w) in lanes.iter().enumerate() {
+            assert!(bits_eq(
+                eval.value_lane(&tape, l),
+                reference.differentials(&tape, w)
+            ));
+        }
     }
 
     #[test]
@@ -3366,9 +3146,16 @@ mod tests {
         let tape = AcTape::lower(&nnf);
         let plan = TangentPlan::new(&tape, &AcWeights::zeros(3));
         assert!(plan.is_empty());
-        let mut eval = TapeEvaluator::new();
         let mut rng = StdRng::seed_from_u64(3);
-        eval.differentials(&tape, &random_weights(3, &mut rng));
-        assert!(bits_eq(eval.contract_tangent(&plan), C_ZERO));
+        let lanes: Vec<AcWeights> = (0..3).map(|_| random_weights(3, &mut rng)).collect();
+        let mut eval = TapeEvaluator::new();
+        eval.differentials_cone_batch(
+            &tape,
+            &batch_of(&lanes),
+            &DiffCone::new(&tape, plan.slots()),
+        );
+        let mut out = [C_ONE; 3];
+        eval.contract_tangent_broadcast(&plan, &mut out);
+        assert!(out.iter().all(|&c| bits_eq(c, C_ZERO)));
     }
 }
