@@ -43,6 +43,7 @@
 mod batch;
 mod compiler;
 mod evaluate;
+mod fxhash;
 mod gibbs;
 pub mod lanes;
 mod nnf;

@@ -7,6 +7,7 @@
 //! a weighted model count; over complex weights, a quantum amplitude
 //! (paper §3.2.2, Figure 5).
 
+use crate::fxhash::FxBuildHasher;
 use qkc_cnf::Lit;
 use std::collections::HashMap;
 
@@ -176,16 +177,13 @@ impl Nnf {
 #[derive(Debug, Default)]
 pub struct NnfBuilder {
     nodes: Vec<NnfNode>,
-    cache: HashMap<NnfNode, NnfId>,
+    cache: HashMap<NnfNode, NnfId, FxBuildHasher>,
 }
 
 impl NnfBuilder {
     /// Creates a builder with ⊤ and ⊥ preallocated.
     pub fn new() -> Self {
-        let mut b = Self {
-            nodes: Vec::new(),
-            cache: HashMap::new(),
-        };
+        let mut b = Self::default();
         b.intern(NnfNode::True);
         b.intern(NnfNode::False);
         b
