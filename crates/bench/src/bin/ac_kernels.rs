@@ -40,7 +40,7 @@ use qkc_bench::{time, ResultTable, Scale};
 use qkc_core::{KcOptions, KcSimulator};
 use qkc_knowledge::{
     evaluate, evaluate_batch_into, evaluate_with_differentials, AcWeights, AcWeightsBatch,
-    GibbsOptions, GibbsSampler, LaneBlock, QueryVar, TapeEvaluator, LANE_WIDTH,
+    GibbsOptions, GibbsSampler, LaneRows, QueryVar, TapeEvaluator, LANE_WIDTH,
 };
 use qkc_math::Complex;
 use qkc_workloads::{Graph, QaoaMaxCut};
@@ -164,7 +164,7 @@ fn main() {
                 batch.set_lane(v, lane, w.get(v as i32), w.get(-(v as i32)));
             }
         }
-        let mut enum_batch_vals: Vec<LaneBlock> = Vec::new();
+        let mut enum_batch_vals = LaneRows::default();
         let mut enum_batch_buf: Vec<Complex> = Vec::new();
         let batch_steps = passes.div_ceil(BATCH_K).max(4) * 4;
         let sweep_seed = 0xBA7C ^ n as u64;

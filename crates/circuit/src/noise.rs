@@ -151,9 +151,10 @@ impl NoiseChannel {
         }
     }
 
-    /// The symbolic parameters mentioned by this model.
-    pub fn symbols(&self) -> Vec<&str> {
-        let params: Vec<&Param> = match self {
+    /// The model's probability parameters, constant or symbolic, in field
+    /// order. Each must resolve into `[0, 1]`.
+    pub fn params(&self) -> Vec<&Param> {
+        match self {
             NoiseChannel::BitFlip { p }
             | NoiseChannel::PhaseFlip { p }
             | NoiseChannel::Depolarizing { p } => vec![p],
@@ -162,8 +163,15 @@ impl NoiseChannel {
                 vec![gamma]
             }
             NoiseChannel::GeneralizedAmplitudeDamping { p, gamma } => vec![p, gamma],
-        };
-        params.iter().filter_map(|p| p.symbol_name()).collect()
+        }
+    }
+
+    /// The symbolic parameters mentioned by this model.
+    pub fn symbols(&self) -> Vec<&str> {
+        self.params()
+            .into_iter()
+            .filter_map(Param::symbol_name)
+            .collect()
     }
 
     /// The Kraus operators `{E_k}` of this model.

@@ -17,7 +17,7 @@
 use crate::bound::{for_each_output_gray, for_each_rv_assignment, write_evidence};
 use crate::pipeline::{KcSimulator, ValueState};
 use qkc_circuit::{ParamMap, UnboundParam};
-use qkc_knowledge::{AcWeightsBatch, TapeEvaluator, LANE_WIDTH};
+use qkc_knowledge::{lane_width, AcWeightsBatch, TapeEvaluator};
 use qkc_math::{Complex, C_ONE, C_ZERO};
 use qkc_telemetry::count;
 use std::cell::RefCell;
@@ -25,15 +25,14 @@ use std::cell::RefCell;
 /// Records the lane occupancy of a batched bind: `kernel/batch/width`
 /// accumulates requested lanes, `kernel/batch/remainder_lanes` the dead
 /// lanes padding the last [`LaneBlock`](qkc_knowledge::LaneBlock) of every
-/// row. The snapshot tree turns the pair into a SIMD occupancy percentage,
-/// so ragged batch widths show up in `BENCH_telemetry.jsonl` instead of
+/// row, at the block width `W` = [`lane_width`]`(k)` the kernels run at.
+/// The snapshot tree turns the pair into a SIMD occupancy percentage, so
+/// ragged batch widths show up in `BENCH_telemetry.jsonl` instead of
 /// silently wasting `(W - k % W) % W` of each remainder block.
 pub(crate) fn note_batch_width(k: usize) {
+    let w = lane_width(k);
     count("kernel/batch/width", k as u64);
-    count(
-        "kernel/batch/remainder_lanes",
-        ((LANE_WIDTH - k % LANE_WIDTH) % LANE_WIDTH) as u64,
-    );
+    count("kernel/batch/remainder_lanes", ((w - k % w) % w) as u64);
 }
 
 impl KcSimulator {

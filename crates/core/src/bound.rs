@@ -483,7 +483,7 @@ impl<'a> BoundKcTangents<'a> {
     /// fold. Zero allocations per assignment after warmup.
     ///
     /// Internally, consecutive Gray-code basis states ride as *weight
-    /// lanes* of one batched differentials pass (up to 16 at a time): the
+    /// lanes* of one batched differentials pass (up to 32 at a time): the
     /// sweep decodes each cone slot once and updates every lane in a
     /// contiguous loop, amortizing per-slot dispatch the same way the
     /// parameter-shift batch bind amortizes it over shifted parameter

@@ -3,7 +3,7 @@
 use crate::cache::ArtifactCache;
 use crate::gradient::{self, GradientMethod, GradientResult, SymbolClass, SymbolRule};
 use crate::mix_seed;
-use qkc_circuit::{Circuit, CircuitError, ParamMap, UnboundParam};
+use qkc_circuit::{Circuit, CircuitError, NoiseChannel, Operation, ParamMap, UnboundParam};
 use qkc_core::KcOptions;
 use qkc_densitymatrix::DensityMatrixSimulator;
 use qkc_knowledge::GibbsOptions;
@@ -115,6 +115,18 @@ pub enum EngineError {
         /// The underlying I/O error.
         detail: String,
     },
+    /// A binding the circuit cannot run under: a symbol the circuit uses
+    /// bound to NaN or ±∞, or a noise probability outside `[0, 1]`.
+    /// The engine checks every query's binding before any backend runs;
+    /// in a sweep it fails only its own point.
+    InvalidBinding {
+        /// The symbol, or the channel when the probability is a constant.
+        symbol: String,
+        /// The rejected value.
+        value: f64,
+        /// What the value violates.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -142,6 +154,11 @@ impl fmt::Display for EngineError {
             EngineError::SpillDirUnavailable { path, detail } => {
                 write!(f, "spill directory `{path}` is unavailable: {detail}")
             }
+            EngineError::InvalidBinding {
+                symbol,
+                value,
+                reason,
+            } => write!(f, "invalid binding `{symbol}` = {value}: {reason}"),
         }
     }
 }
@@ -152,6 +169,54 @@ impl From<CircuitError> for EngineError {
     fn from(e: CircuitError) -> Self {
         EngineError::Circuit(e)
     }
+}
+
+/// Rejects a binding `circuit` cannot run under, before any backend sees
+/// it: every value bound to a symbol the circuit uses must be finite, and
+/// every noise probability, constant or bound, must resolve into
+/// `[0, 1]` (an asymmetric depolarizing channel's three must also sum to
+/// at most 1). Unbound symbols pass; the backends report them as
+/// [`CircuitError::Unbound`].
+///
+/// # Errors
+///
+/// [`EngineError::InvalidBinding`] naming the first offending symbol (or
+/// channel) and its value.
+pub(crate) fn check_binding(circuit: &Circuit, params: &ParamMap) -> Result<(), EngineError> {
+    let invalid = |symbol: String, value: f64, reason| EngineError::InvalidBinding {
+        symbol,
+        value,
+        reason,
+    };
+    for op in circuit.operations() {
+        for symbol in op.symbols() {
+            if let Some(value) = params.get(symbol).filter(|v| !v.is_finite()) {
+                return Err(invalid(symbol.to_owned(), value, "not a finite number"));
+            }
+        }
+        let Operation::Noise { channel, .. } = op else {
+            continue;
+        };
+        let mut sum = 0.0;
+        for p in channel.params() {
+            let Ok(value) = p.resolve(params) else {
+                continue;
+            };
+            if !(0.0..=1.0).contains(&value) {
+                let symbol = p
+                    .symbol_name()
+                    .map_or_else(|| channel.to_string(), str::to_owned);
+                return Err(invalid(symbol, value, "noise probability outside [0, 1]"));
+            }
+            sum += value;
+        }
+        // The same tolerance `NoiseChannel::kraus` asserts.
+        if matches!(channel, NoiseChannel::AsymmetricDepolarizing { .. }) && sum > 1.0 + 1e-12 {
+            let reason = "asymmetric depolarizing probabilities sum past 1";
+            return Err(invalid(channel.to_string(), sum, reason));
+        }
+    }
+    Ok(())
 }
 
 /// A uniform interface over every simulator family.

@@ -2,8 +2,8 @@
 //! handle.
 
 use crate::backend::{
-    Backend, BackendKind, DensityMatrixBackend, EngineError, KcBackend, StateVectorBackend,
-    TensorNetworkBackend,
+    check_binding, Backend, BackendKind, DensityMatrixBackend, EngineError, KcBackend,
+    StateVectorBackend, TensorNetworkBackend,
 };
 use crate::budget::{QueryBudget, QueryCtx};
 use crate::cache::{ArtifactCache, CacheOptions};
@@ -338,13 +338,16 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Circuit-level errors, or [`EngineError::Unsupported`] when no exact
-    /// answer is feasible (fall back to [`Engine::sample`]).
+    /// Circuit-level errors, [`EngineError::InvalidBinding`] for a
+    /// non-finite angle or an out-of-range noise probability, or
+    /// [`EngineError::Unsupported`] when no exact answer is feasible (fall
+    /// back to [`Engine::sample`]).
     pub fn probabilities(
         &self,
         circuit: &Circuit,
         params: &ParamMap,
     ) -> Result<Vec<f64>, EngineError> {
+        check_binding(circuit, params)?;
         let ctx = self.query_ctx();
         let backend = self.backend_with_ctx(self.plan(circuit).backend, ctx.as_ref());
         backend.probabilities(circuit, params)
@@ -355,7 +358,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Circuit-level errors from the selected backend.
+    /// [`EngineError::InvalidBinding`] for a non-finite angle or an
+    /// out-of-range noise probability; circuit-level errors from the
+    /// selected backend.
     pub fn sample(
         &self,
         circuit: &Circuit,
@@ -363,6 +368,7 @@ impl Engine {
         shots: usize,
         seed: u64,
     ) -> Result<Vec<usize>, EngineError> {
+        check_binding(circuit, params)?;
         let ctx = self.query_ctx();
         let backend = self.backend_with_ctx(self.plan(circuit).backend, ctx.as_ref());
         backend.sample(circuit, params, shots, seed)
@@ -373,7 +379,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Circuit-level errors from the selected backend.
+    /// [`EngineError::InvalidBinding`] for a non-finite angle or an
+    /// out-of-range noise probability (checked as a one-point sweep);
+    /// circuit-level errors from the selected backend.
     pub fn expectation(
         &self,
         circuit: &Circuit,
@@ -395,17 +403,23 @@ impl Engine {
     /// The expectation of a diagonal observable **and its gradient** with
     /// respect to `wrt` (`None` = every circuit symbol, sorted), on the
     /// backend planned for a parameter sweep. On the
-    /// knowledge-compilation backend the gradient is the exact
-    /// parameter-shift rule evaluated as lanes of one batched bind against
-    /// the cached artifact; other backends answer the same query by
-    /// central finite differences, flagged
+    /// knowledge-compilation backend the gradient comes from the one-pass
+    /// analytic path: one differentials pass per basis state, contracted
+    /// against precomputed weight tangents, whatever the number of
+    /// symbols. Only when a `wrt` symbol sits in a noise channel does the
+    /// query take the parameter-shift path instead: shifted bindings
+    /// (finite differences for the noise symbols) evaluated as lanes of one
+    /// batched bind against the cached artifact. Other backends answer the
+    /// same query by central finite differences, flagged
     /// [`exact`](GradientResult::exact)` = false`.
     ///
     /// # Errors
     ///
-    /// Unbound-symbol errors, or [`EngineError::Unsupported`] when the
-    /// planned backend cannot produce exact expectations for this circuit
-    /// (gradients never fall back to sampling).
+    /// Unbound-symbol errors, [`EngineError::InvalidBinding`] for a
+    /// non-finite angle or an out-of-range noise probability, or
+    /// [`EngineError::Unsupported`] when the planned backend cannot
+    /// produce exact expectations for this circuit (gradients never fall
+    /// back to sampling).
     pub fn gradient(
         &self,
         circuit: &Circuit,
@@ -413,6 +427,7 @@ impl Engine {
         observable: &(dyn Fn(usize) -> f64 + Sync),
         wrt: Option<&[String]>,
     ) -> Result<GradientResult, EngineError> {
+        check_binding(circuit, params)?;
         let plan = self.plan_with_hint(circuit, PlanHint::ParameterSweep);
         let ctx = self.query_ctx();
         let backend = self.backend_with_ctx(plan.backend, ctx.as_ref());
@@ -435,7 +450,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// The first point-level error in input order.
+    /// The first point-level error in input order, including
+    /// [`EngineError::InvalidBinding`] for a point with a non-finite angle
+    /// or an out-of-range noise probability.
     pub fn gradient_sweep(
         &self,
         circuit: &Circuit,
@@ -464,6 +481,7 @@ impl Engine {
                         // natural lane here).
                         c.check_deadline()?;
                     }
+                    check_binding(circuit, p)?;
                     let r = backend.expectation_gradient(circuit, p, spec.observable, &wrt)?;
                     Ok(GradientPoint {
                         index: lo + j,
@@ -499,7 +517,9 @@ impl Engine {
 
     /// Runs a parameter sweep with graceful degradation: point-level
     /// failures (including worker panics, which are caught and retried
-    /// once) are contained into typed [`SweepFailure`](crate::SweepFailure)
+    /// once, and [`EngineError::InvalidBinding`] for a point with a
+    /// non-finite angle or an out-of-range noise probability) are
+    /// contained into typed [`SweepFailure`](crate::SweepFailure)
     /// entries, and every other point's result is returned —
     /// byte-identical to what a fault-free run would produce for it.
     ///

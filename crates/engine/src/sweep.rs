@@ -1,6 +1,6 @@
 //! The parallel parameter-sweep executor.
 
-use crate::backend::{Backend, EngineError};
+use crate::backend::{check_binding, Backend, EngineError};
 use crate::budget::QueryCtx;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::mix_seed;
@@ -364,8 +364,9 @@ fn worker_panic_error(payload: Box<dyn std::any::Any + Send>) -> EngineError {
 /// batched call panics or errors, so the blast radius must shrink to the
 /// actually-faulty point — every point of the lane falls back to the
 /// scalar [`run_point`] path, which resolves sampling and error semantics
-/// per point. Point-level failures are contained into [`PointOutcome`]s;
-/// only a deadline expiry (checked once per lane) aborts the slice.
+/// per point. Point-level failures are contained into [`PointOutcome`]s —
+/// a point whose binding [`check_binding`] rejects fails without running —
+/// and only a deadline expiry (checked once per lane) aborts the slice.
 fn run_slice(
     backend: &dyn Backend,
     circuit: &Circuit,
@@ -388,11 +389,16 @@ fn run_slice(
         let base = lo + lane_index * batch.max(1);
         let lane_has_panic_point =
             plan.is_some_and(|p| (0..lane.len()).any(|j| p.panics_at((base + j) as u64, 0)));
+        let checks: Vec<Result<(), EngineError>> =
+            lane.iter().map(|p| check_binding(circuit, p)).collect();
         let batched: Option<Vec<f64>> = match spec.observable {
-            // A lane containing a scheduled panic point skips the batched
-            // call entirely: its fault must fire inside the per-point
-            // containment, not tear the whole lane's evaluation.
-            Some(obs) if lane.len() > 1 && !lane_has_panic_point => {
+            // A lane containing a scheduled panic point or an invalid
+            // binding skips the batched call entirely: its fault must fire
+            // inside the per-point containment, not tear the whole lane's
+            // evaluation.
+            Some(obs)
+                if lane.len() > 1 && !lane_has_panic_point && checks.iter().all(Result::is_ok) =>
+            {
                 match catch_unwind(AssertUnwindSafe(|| {
                     backend.expectation_batch(circuit, lane, obs)
                 })) {
@@ -413,8 +419,12 @@ fn run_slice(
             }
             _ => None,
         };
-        for (j, p) in lane.iter().enumerate() {
+        for ((j, p), check) in lane.iter().enumerate().zip(checks) {
             let index = base + j;
+            if let Err(error) = check {
+                out.push(PointOutcome::Failed(SweepFailure { index, error }));
+                continue;
+            }
             let batched_value = batched.as_ref().map(|values| values[j]);
             out.push(eval_point(
                 backend,

@@ -8,27 +8,30 @@
 //! node stream (the expensive, branchy part) is decoded once, and each node
 //! updates `k` complex lanes held in lane-blocked split-plane layout
 //! ([`LaneBlock`]): per node, `⌈k/W⌉` blocks of `W` real lanes plus `W`
-//! imaginary lanes, so every per-node update is a straight-line loop the
-//! compiler vectorizes. Sweep throughput multiplies because per-node
+//! imaginary lanes, with `W` = 4 for `k ≤ 4` and 8 otherwise
+//! ([`lane_width`]). Every per-node update is a straight-line loop the
+//! compiler vectorizes, and its lane ops are branch-free selects (see
+//! [`crate::lanes`]). Sweep throughput multiplies because per-node
 //! dispatch, bounds checks, and the per-call value-buffer allocation are
 //! all paid once per node instead of once per node per binding.
 //!
 //! Every lane is guaranteed **bit-for-bit identical** to the scalar
 //! [`evaluate`](crate::evaluate()) result for the same weights: the
 //! per-lane operation sequence (including the zero short-circuit at AND
-//! nodes, expressed as a per-lane select — see [`crate::lanes`]) mirrors
-//! the scalar kernel exactly. The engine's sweep executor relies on this
+//! nodes, expressed as a per-lane select) mirrors the scalar kernel
+//! exactly, at either width. The engine's sweep executor relies on this
 //! to keep results byte-identical across batch widths. Ragged `k` occupies
 //! the trailing block's leading lanes; its dead lanes are zero-filled and
 //! carried along as a masked remainder.
 
-use crate::lanes::{blocks_for, LaneBlock, LANE_WIDTH};
+use crate::lanes::{blocks_for, lane_width, with_rows, LaneBlock, LaneRows, NARROW_WIDTH};
 use crate::nnf::{Nnf, NnfNode};
 use qkc_cnf::Lit;
 use qkc_math::{Complex, C_ONE, C_ZERO};
 
 /// Literal weights for `k` bindings in lane-blocked split-plane layout:
-/// for each weight slot (row), `⌈k/W⌉` [`LaneBlock`]s of `W` lanes.
+/// for each weight slot (row), `⌈k/W⌉` [`LaneBlock`]s of `W` lanes, where
+/// `W` = [`lane_width`]`(k)`.
 ///
 /// Lane `l` of the batch is exactly one scalar
 /// [`AcWeights`](crate::AcWeights) vector; evidence that is shared by every
@@ -41,29 +44,50 @@ use qkc_math::{Complex, C_ONE, C_ZERO};
 /// directly. Dead lanes of a ragged trailing block are zero and stay zero.
 #[derive(Debug, Clone)]
 pub struct AcWeightsBatch {
-    blocks: Vec<LaneBlock>,
+    rows: LaneRows,
     lanes: usize,
     num_vars: usize,
 }
 
+/// `slots` rows of `lanes` lanes at width `W`, every live lane `live`,
+/// every dead remainder lane an exact zero.
+fn filled_rows<const W: usize>(slots: usize, lanes: usize, live: Complex) -> Vec<LaneBlock<W>> {
+    let nb = blocks_for(lanes);
+    let mut blocks = vec![LaneBlock::splat(live); slots * nb];
+    if !lanes.is_multiple_of(W) {
+        // Ragged batch: the trailing block of every row carries live
+        // lanes only in its head; dead lanes hold exact zeros.
+        let mut tail = LaneBlock::ZERO;
+        for w in 0..lanes % W {
+            tail.set(w, live);
+        }
+        for s in 0..slots {
+            blocks[s * nb + nb - 1] = tail;
+        }
+    }
+    blocks
+}
+
+/// The `nb` blocks of row `row`.
+#[inline(always)]
+pub(crate) fn row_of<const W: usize>(
+    blocks: &[LaneBlock<W>],
+    row: usize,
+    nb: usize,
+) -> &[LaneBlock<W>] {
+    &blocks[row * nb..row * nb + nb]
+}
+
 impl AcWeightsBatch {
     fn filled(num_vars: usize, lanes: usize, live: Complex) -> Self {
-        let nb = blocks_for(lanes);
         let slots = if lanes == 0 { 0 } else { 2 * (num_vars + 1) };
-        let mut blocks = vec![LaneBlock::splat(live); slots * nb];
-        if !lanes.is_multiple_of(LANE_WIDTH) {
-            // Ragged batch: the trailing block of every row carries live
-            // lanes only in its head; dead lanes hold exact zeros.
-            let mut tail = LaneBlock::ZERO;
-            for w in 0..lanes % LANE_WIDTH {
-                tail.set(w, live);
-            }
-            for s in 0..slots {
-                blocks[s * nb + nb - 1] = tail;
-            }
-        }
+        let rows = if lane_width(lanes) == NARROW_WIDTH {
+            LaneRows::Narrow(filled_rows(slots, lanes, live))
+        } else {
+            LaneRows::Wide(filled_rows(slots, lanes, live))
+        };
         Self {
-            blocks,
+            rows,
             lanes,
             num_vars: if lanes == 0 { 0 } else { num_vars },
         }
@@ -97,33 +121,40 @@ impl AcWeightsBatch {
         self.num_vars
     }
 
+    /// The weight rows, at the width the lane count selected.
+    #[inline]
+    pub(crate) fn rows(&self) -> &LaneRows {
+        &self.rows
+    }
+
     /// Sets both polarities of variable `v` in lane `lane`.
     pub fn set_lane(&mut self, v: u32, lane: usize, pos: Complex, neg: Complex) {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
         let nb = self.blocks_per_row();
-        let (blk, w) = (lane / LANE_WIDTH, lane % LANE_WIDTH);
-        self.blocks[2 * v as usize * nb + blk].set(w, pos);
-        self.blocks[(2 * v as usize + 1) * nb + blk].set(w, neg);
+        let (w, row) = (lane_width(self.lanes), 2 * v as usize);
+        with_rows!(&mut self.rows, blocks => {
+            blocks[row * nb + lane / w].set(lane % w, pos);
+            blocks[(row + 1) * nb + lane / w].set(lane % w, neg);
+        });
     }
 
     /// Sets both polarities of variable `v` in every live lane (shared
     /// evidence). Dead remainder lanes stay zero.
     pub fn set_all(&mut self, v: u32, pos: Complex, neg: Complex) {
         let nb = self.blocks_per_row();
-        let full = self.lanes / LANE_WIDTH;
-        let rem = self.lanes % LANE_WIDTH;
-        for (value, row) in [(pos, 2 * v as usize), (neg, 2 * v as usize + 1)] {
-            let blocks = &mut self.blocks[row * nb..(row + 1) * nb];
-            for b in &mut blocks[..full] {
-                *b = LaneBlock::splat(value);
-            }
-            if rem != 0 {
-                let tail = &mut blocks[full];
-                for w in 0..rem {
-                    tail.set(w, value);
+        let w = lane_width(self.lanes);
+        let (full, rem) = (self.lanes / w, self.lanes % w);
+        with_rows!(&mut self.rows, blocks => {
+            for (value, row) in [(pos, 2 * v as usize), (neg, 2 * v as usize + 1)] {
+                let row = &mut blocks[row * nb..(row + 1) * nb];
+                for b in &mut row[..full] {
+                    *b = LaneBlock::splat(value);
+                }
+                for l in 0..rem {
+                    row[full].set(l, value);
                 }
             }
-        }
+        });
     }
 
     /// Copies every lane of variable `v` from `src` (row-level
@@ -136,27 +167,26 @@ impl AcWeightsBatch {
         assert_eq!(self.lanes, src.lanes, "lane count mismatch");
         let nb = self.blocks_per_row();
         let row = 2 * v as usize * nb;
-        self.blocks[row..row + 2 * nb].copy_from_slice(&src.blocks[row..row + 2 * nb]);
+        match (&mut self.rows, &src.rows) {
+            (LaneRows::Narrow(dst), LaneRows::Narrow(src)) => {
+                dst[row..row + 2 * nb].copy_from_slice(&src[row..row + 2 * nb]);
+            }
+            (LaneRows::Wide(dst), LaneRows::Wide(src)) => {
+                dst[row..row + 2 * nb].copy_from_slice(&src[row..row + 2 * nb]);
+            }
+            _ => unreachable!("equal lane counts select equal widths"),
+        }
     }
 
     /// The weight of literal `l` in lane `lane`.
     #[inline]
     pub fn get(&self, l: Lit, lane: usize) -> Complex {
-        self.row_blocks(l)[lane / LANE_WIDTH].get(lane % LANE_WIDTH)
-    }
-
-    /// The blocks holding a literal's `k` lane weights.
-    #[inline]
-    pub fn row_blocks(&self, l: Lit) -> &[LaneBlock] {
-        self.row_blocks_by_slot(crate::AcWeights::slot_of(l))
-    }
-
-    /// The blocks at a precomputed
-    /// [`slot_of`](crate::AcWeights::slot_of) slot.
-    #[inline]
-    pub fn row_blocks_by_slot(&self, slot: u32) -> &[LaneBlock] {
         let nb = self.blocks_per_row();
-        &self.blocks[slot as usize * nb..(slot as usize + 1) * nb]
+        let (w, row) = (
+            lane_width(self.lanes),
+            crate::AcWeights::slot_of(l) as usize,
+        );
+        with_rows!(&self.rows, blocks => blocks[row * nb + lane / w].get(lane % w))
     }
 
     /// Number of weight rows covered (`2 × (num_vars + 1)`; 0 when empty).
@@ -170,25 +200,25 @@ impl AcWeightsBatch {
     }
 }
 
-/// Unpacks the live lanes of node `id`'s block row into `out`.
+/// Unpacks the `k` live lanes of row `id` into `out`.
 #[inline]
-pub(crate) fn unpack_row(
-    values: &[LaneBlock],
+pub(crate) fn unpack_row<const W: usize>(
+    values: &[LaneBlock<W>],
     id: usize,
     nb: usize,
     k: usize,
     out: &mut Vec<Complex>,
 ) {
     out.clear();
-    let row = &values[id * nb..id * nb + nb];
-    out.extend((0..k).map(|l| row[l / LANE_WIDTH].get(l % LANE_WIDTH)));
+    let row = row_of(values, id, nb);
+    out.extend((0..k).map(|l| row[l / W].get(l % W)));
 }
 
 /// Upward pass over `k` weight lanes in one traversal: returns the root
 /// value of every lane, each bit-for-bit equal to the scalar
 /// [`evaluate`](crate::evaluate()) of that lane's weights.
 pub fn evaluate_batch(nnf: &Nnf, weights: &AcWeightsBatch) -> Vec<Complex> {
-    let mut values = Vec::new();
+    let mut values = LaneRows::default();
     let mut out = Vec::new();
     evaluate_batch_into(nnf, weights, &mut values, &mut out);
     out
@@ -196,12 +226,13 @@ pub fn evaluate_batch(nnf: &Nnf, weights: &AcWeightsBatch) -> Vec<Complex> {
 
 /// [`evaluate_batch`] with caller-owned buffers, so hot loops (one AC pass
 /// per basis state) amortize the allocations across calls: `values` holds
-/// the node-major lane blocks, `out` receives the `k` root values, and the
-/// returned slice borrows `out`.
+/// the node-major lane blocks (switched to the weights' width when it
+/// differs), `out` receives the `k` root values, and the returned slice
+/// borrows `out`.
 pub fn evaluate_batch_into<'v>(
     nnf: &Nnf,
     weights: &AcWeightsBatch,
-    values: &mut Vec<LaneBlock>,
+    values: &mut LaneRows,
     out: &'v mut Vec<Complex>,
 ) -> &'v [Complex] {
     let k = weights.lanes();
@@ -210,21 +241,43 @@ pub fn evaluate_batch_into<'v>(
         return &[];
     }
     let nb = weights.blocks_per_row();
-    // Every node row is written by the pass (False rows are filled with
-    // zeros explicitly), so a resize without re-zeroing is sound.
-    values.resize(nnf.num_nodes() * nb, LaneBlock::ZERO);
-    upward_pass(nnf, weights, values, nb);
-    unpack_row(values, nnf.root() as usize, nb, k, out);
+    let root = nnf.root() as usize;
+    match (weights.rows(), &mut *values) {
+        (LaneRows::Narrow(w), LaneRows::Narrow(v)) => upward_pass(nnf, w, v, nb, root, k, out),
+        (LaneRows::Wide(w), LaneRows::Wide(v)) => upward_pass(nnf, w, v, nb, root, k, out),
+        (LaneRows::Narrow(w), other) => {
+            let mut v = Vec::new();
+            upward_pass(nnf, w, &mut v, nb, root, k, out);
+            *other = LaneRows::Narrow(v);
+        }
+        (LaneRows::Wide(w), other) => {
+            let mut v = Vec::new();
+            upward_pass(nnf, w, &mut v, nb, root, k, out);
+            *other = LaneRows::Wide(v);
+        }
+    }
     out
 }
 
 /// The evaluation upward pass: fills `values` (node-major, `nb` blocks per
-/// node). Each block update is a fixed-width split-plane loop, so there is
-/// one vectorized body for every lane count — ragged batches ride the
-/// masked remainder block instead of a hand-monomorphized `k`. (The
-/// differentials pass runs its own upward sweep — it needs full AND
-/// products, without the zero short-circuit used here.)
-fn upward_pass(nnf: &Nnf, weights: &AcWeightsBatch, values: &mut [LaneBlock], nb: usize) {
+/// node) and unpacks the root's `k` lanes into `out`. Each block update is
+/// a fixed-width split-plane loop, so there is one vectorized body per
+/// width for every lane count — ragged batches ride the masked remainder
+/// block instead of a hand-monomorphized `k`. (The differentials pass runs
+/// its own upward sweep — it needs full AND products, without the zero
+/// short-circuit used here.)
+fn upward_pass<const W: usize>(
+    nnf: &Nnf,
+    weights: &[LaneBlock<W>],
+    values: &mut Vec<LaneBlock<W>>,
+    nb: usize,
+    root: usize,
+    k: usize,
+    roots: &mut Vec<Complex>,
+) {
+    // Every node row is written by the pass (False rows are filled with
+    // zeros explicitly), so a resize without re-zeroing is sound.
+    values.resize(nnf.num_nodes() * nb, LaneBlock::ZERO);
     for (i, node) in nnf.nodes().iter().enumerate() {
         let row = i * nb;
         // Children precede parents, so splitting at `row` always puts every
@@ -234,7 +287,9 @@ fn upward_pass(nnf: &Nnf, weights: &AcWeightsBatch, values: &mut [LaneBlock], nb
         match node {
             NnfNode::True => out.fill(LaneBlock::ONE),
             NnfNode::False => out.fill(LaneBlock::ZERO),
-            NnfNode::Lit(l) => out.copy_from_slice(weights.row_blocks(*l)),
+            NnfNode::Lit(l) => {
+                out.copy_from_slice(row_of(weights, crate::AcWeights::slot_of(*l) as usize, nb));
+            }
             NnfNode::And(cs) => {
                 out.fill(LaneBlock::ONE);
                 for &c in cs.iter() {
@@ -242,29 +297,26 @@ fn upward_pass(nnf: &Nnf, weights: &AcWeightsBatch, values: &mut [LaneBlock], nb
                     // batch: a zero lane stops multiplying (the select in
                     // `mul_assign_sc` keeps the exact bits the scalar pass
                     // returns), and once every lane is dead the remaining
-                    // children are skipped entirely. Zeros come almost
-                    // exclusively from evidence weights, which are shared
-                    // across lanes, so lanes usually die together and the
-                    // whole-AND break fires about as often as the scalar
-                    // one.
+                    // children are skipped entirely.
                     if out.iter().all(LaneBlock::all_zero) {
                         break;
                     }
-                    let child = &head[c as usize * nb..c as usize * nb + nb];
+                    let child = row_of(head, c as usize, nb);
                     for (acc, v) in out.iter_mut().zip(child) {
                         acc.mul_assign_sc(v);
                     }
                 }
             }
             NnfNode::Or(a, b) => {
-                let a = &head[*a as usize * nb..*a as usize * nb + nb];
-                let b = &head[*b as usize * nb..*b as usize * nb + nb];
+                let a = row_of(head, *a as usize, nb);
+                let b = row_of(head, *b as usize, nb);
                 for (acc, (x, y)) in out.iter_mut().zip(a.iter().zip(b)) {
                     acc.add_of(x, y);
                 }
             }
         }
     }
+    unpack_row(values, root, nb, k, roots);
 }
 
 #[cfg(test)]
@@ -272,6 +324,7 @@ mod tests {
     use super::*;
     use crate::compiler::{compile, CompileOptions};
     use crate::evaluate::{evaluate, AcWeights};
+    use crate::lanes::LANE_WIDTH;
     use crate::transform::smooth;
     use qkc_cnf::Cnf;
     use rand::rngs::StdRng;
@@ -318,10 +371,13 @@ mod tests {
     fn batch_matches_scalar_bit_for_bit() {
         let nnf = test_nnf();
         let mut rng = StdRng::seed_from_u64(11);
-        // Ragged widths straddle the block boundary: 1, W−1, W, W+1, 2W+3.
+        // Ragged widths straddle both block widths and the switch between
+        // them: 1, 3, 4, 5, W−1, W, W+1, 2W+3.
         for k in [
             1usize,
             3,
+            NARROW_WIDTH,
+            NARROW_WIDTH + 1,
             LANE_WIDTH - 1,
             LANE_WIDTH,
             LANE_WIDTH + 1,
@@ -367,37 +423,52 @@ mod tests {
         assert_eq!(batch.num_vars(), 0);
     }
 
+    /// Every lane of every row, dead remainder lanes included.
+    fn all_lanes(b: &AcWeightsBatch) -> Vec<Complex> {
+        with_rows!(b.rows(), blocks => blocks
+            .iter()
+            .flat_map(|blk| (0..blk.re.len()).map(|w| blk.get(w)))
+            .collect())
+    }
+
     #[test]
     fn accessors_cover_lanes() {
-        let mut b = AcWeightsBatch::uniform(2, 3);
-        assert_eq!(b.lanes(), 3);
-        assert_eq!(b.num_vars(), 2);
-        assert_eq!(b.blocks_per_row(), 1);
-        b.set_lane(1, 1, Complex::imag(2.0), Complex::real(3.0));
-        assert_eq!(b.get(1, 1), Complex::imag(2.0));
-        assert_eq!(b.get(-1, 1), Complex::real(3.0));
-        assert_eq!(b.get(1, 0), C_ONE);
-        b.set_all(2, C_ZERO, C_ONE);
-        for lane in 0..3 {
-            assert_eq!(b.get(2, lane), C_ZERO);
-            assert_eq!(b.get(-2, lane), C_ONE);
-        }
-        // Dead remainder lanes stay exact zeros (masked remainder block).
-        let row = b.row_blocks(2);
-        assert_eq!(row.len(), 1);
-        for w in 3..LANE_WIDTH {
-            assert_eq!(row[0].get(w), C_ZERO);
-        }
-        let neg = b.row_blocks(-2)[0];
-        for w in 3..LANE_WIDTH {
-            assert_eq!(neg.get(w), C_ZERO);
+        for (k, width) in [(3, NARROW_WIDTH), (LANE_WIDTH - 1, LANE_WIDTH)] {
+            let mut b = AcWeightsBatch::uniform(2, k);
+            assert_eq!(b.lanes(), k);
+            assert_eq!(b.num_vars(), 2);
+            assert_eq!(b.blocks_per_row(), 1);
+            b.set_lane(1, 1, Complex::imag(2.0), Complex::real(3.0));
+            assert_eq!(b.get(1, 1), Complex::imag(2.0));
+            assert_eq!(b.get(-1, 1), Complex::real(3.0));
+            assert_eq!(b.get(1, 0), C_ONE);
+            b.set_all(2, C_ZERO, C_ONE);
+            for lane in 0..k {
+                assert_eq!(b.get(2, lane), C_ZERO);
+                assert_eq!(b.get(-2, lane), C_ONE);
+            }
+            // One block of the chosen width per row; dead remainder lanes
+            // stay exact zeros (masked remainder block).
+            let lanes = all_lanes(&b);
+            assert_eq!(lanes.len(), b.num_slots() * width);
+            for (i, c) in lanes.iter().enumerate() {
+                if i % width >= k {
+                    assert!(bits_eq(*c, C_ZERO), "k {k}: dead lane {i} is {c}");
+                }
+            }
         }
     }
 
     #[test]
     fn ragged_blocks_and_copy() {
-        // k = W+2 spans two blocks; copy_var_from restores both rows.
-        let k = LANE_WIDTH + 2;
+        // A ragged narrow block, and k = W+2 spanning two wide blocks:
+        // copy_var_from restores every block of both rows.
+        for k in [NARROW_WIDTH - 1, LANE_WIDTH + 2] {
+            ragged_copy(k);
+        }
+    }
+
+    fn ragged_copy(k: usize) {
         let mut a = AcWeightsBatch::uniform(2, k);
         let saved = a.clone();
         a.set_all(1, C_ZERO, Complex::real(4.0));

@@ -60,8 +60,9 @@
 //! draws one random number per OR visit, so removing one would shift the
 //! stream.
 
+use crate::batch::{row_of, unpack_row};
 use crate::evaluate::AcWeights;
-use crate::lanes::{blocks_for, LaneBlock, LANE_WIDTH};
+use crate::lanes::{blocks_for, lane_width, LaneBlock, LaneRows, LANE_WIDTH, NARROW_WIDTH};
 use crate::nnf::{Nnf, NnfNode};
 use crate::AcWeightsBatch;
 use qkc_cnf::Lit;
@@ -744,17 +745,10 @@ pub struct TapeEvaluator {
     partials: Vec<Complex>,
     /// Prefix products for the scalar downward AND sweep (child-major).
     prefix: Vec<Complex>,
-    /// Per-slot lane-blocked values for the batch kernels (node-major,
-    /// `⌈k/W⌉` [`LaneBlock`]s per slot). Grow-only, like `values`.
-    bvalues: Vec<LaneBlock>,
-    /// Per-slot lane-blocked partials for the batch cone downward sweep.
-    bpartials: Vec<LaneBlock>,
-    /// Blocked suffix-stash / suffix / accumulator scratch for the batch
-    /// cone downward sweep and its contraction. `bprefix` is sized once
-    /// per pass from the tape's [`AcTape::max_and_arity`].
-    bprefix: Vec<LaneBlock>,
-    bsuffix: Vec<LaneBlock>,
-    bacc: Vec<LaneBlock>,
+    /// Batch-kernel buffers for lane counts up to 4 (blocks of 4 lanes).
+    narrow: BatchScratch<NARROW_WIDTH>,
+    /// Batch-kernel buffers for wider lane counts (blocks of 8 lanes).
+    wide: BatchScratch<LANE_WIDTH>,
     /// Unpacked live lanes of the batch root row — the persistent backing
     /// of the `&[Complex]` slices the batch upward passes return.
     root_out: Vec<Complex>,
@@ -817,6 +811,24 @@ enum ValuesMode {
     /// ([`TapeEvaluator::differentials_cone_batch`]); valid for its delta
     /// pass with the same lane count.
     BatchDiffUpward,
+}
+
+/// Runs `$body` with `$w` bound to `$weights`' rows and `$s` to `$eval`'s
+/// batch scratch of the same width: the one dispatch on the block width
+/// per batch pass. Each arm monomorphizes the same width-generic body.
+macro_rules! at_width {
+    ($eval:ident, $weights:expr, |$s:ident, $w:ident| $body:expr) => {
+        match $weights.rows() {
+            LaneRows::Narrow($w) => {
+                let $s = &mut $eval.narrow;
+                $body
+            }
+            LaneRows::Wide($w) => {
+                let $s = &mut $eval.wide;
+                $body
+            }
+        }
+    };
 }
 
 impl TapeEvaluator {
@@ -1025,23 +1037,7 @@ impl TapeEvaluator {
         changed_vars: &[u32],
         full_products: bool,
     ) {
-        let n = tape.ops.len();
-        if self.queued.len() < n {
-            self.queued.resize(n, false);
-        }
-        let mut pending = 0usize;
-        let mut cursor = n;
-        for &v in changed_vars {
-            for lit in [v as Lit, -(v as Lit)] {
-                if let Some(slot) = tape.lit_slot(lit) {
-                    if !self.queued[slot as usize] {
-                        self.queued[slot as usize] = true;
-                        pending += 1;
-                        cursor = cursor.min(slot as usize);
-                    }
-                }
-            }
-        }
+        let (mut pending, mut cursor) = seed_dirty(tape, changed_vars, &mut self.queued);
         while pending > 0 {
             if !self.queued[cursor] {
                 cursor += 1;
@@ -1076,12 +1072,7 @@ impl TapeEvaluator {
             let old = self.values[cursor];
             if new.re.to_bits() != old.re.to_bits() || new.im.to_bits() != old.im.to_bits() {
                 self.values[cursor] = new;
-                for &p in tape.parents_of(cursor as TapeId) {
-                    if !self.queued[p as usize] {
-                        self.queued[p as usize] = true;
-                        pending += 1;
-                    }
-                }
+                mark_parents(tape, cursor, &mut self.queued, &mut pending);
             }
             cursor += 1;
         }
@@ -1248,45 +1239,30 @@ impl TapeEvaluator {
         }
     }
 
-    /// Grows the blocked value buffer to at least `len` blocks without
-    /// re-zeroing live ones: the batch passes overwrite every row they
-    /// read.
-    #[inline]
-    fn ensure_bvalues(&mut self, len: usize) {
-        if self.bvalues.len() < len {
-            self.bvalues.resize(len, LaneBlock::ZERO);
-        }
-    }
-
-    /// Unpacks the live lanes of the root's block row into the persistent
-    /// `root_out` buffer and returns it.
-    fn unpack_root(&mut self, tape: &AcTape, nb: usize, k: usize) -> &[Complex] {
-        crate::batch::unpack_row(&self.bvalues, tape.root as usize, nb, k, &mut self.root_out);
-        &self.root_out
-    }
-
     /// Batched upward pass over `k` weight lanes: one tape scan updating
-    /// `⌈k/W⌉` lane blocks per slot, each a fixed-width split-plane loop
-    /// the compiler vectorizes. Returns the `k` root values; lane `l` is
+    /// `⌈k/W⌉` lane blocks per slot, at the block width `W` the lane count
+    /// selects ([`lane_width`]), each a fixed-width split-plane loop the
+    /// compiler vectorizes. Returns the `k` root values; lane `l` is
     /// bit-for-bit the scalar [`evaluate`](TapeEvaluator::evaluate) of
     /// that lane's weights (mirroring
     /// [`evaluate_batch`](crate::evaluate_batch()): per-lane zero
-    /// short-circuit as a select, whole-AND break once every lane is
-    /// dead).
+    /// short-circuit as a select, and each block of an AND stops
+    /// multiplying once all its lanes are zero).
     pub fn evaluate_batch(&mut self, tape: &AcTape, weights: &AcWeightsBatch) -> &[Complex] {
         let k = weights.lanes();
         if k == 0 {
             return &[];
         }
         tape.check_weights(weights.num_slots());
-        let n = tape.ops.len();
         let nb = weights.blocks_per_row();
-        self.ensure_bvalues(n * nb);
         self.value_lanes = k;
         self.values_mode = ValuesMode::BatchEvaluate;
         self.values_stamp = tape.stamp;
-        batch_upward(tape, weights, &mut self.bvalues[..n * nb], nb);
-        self.unpack_root(tape, nb, k)
+        at_width!(self, weights, |s, w| {
+            s.upward(tape, w, nb);
+            unpack_row(&s.values, tape.root as usize, nb, k, &mut self.root_out);
+        });
+        &self.root_out
     }
 
     /// [`evaluate_batch`](TapeEvaluator::evaluate_batch) when only the
@@ -1302,13 +1278,14 @@ impl TapeEvaluator {
     ///
     /// Falls back to a full [`evaluate_batch`](TapeEvaluator::evaluate_batch)
     /// when the cached buffer is missing, was produced by another kernel
-    /// mode or tape, or has a different lane count, so it is always safe to
-    /// call. Lane `l` is bit-for-bit the scalar
-    /// [`evaluate`](TapeEvaluator::evaluate) of that lane's weights: every
-    /// recomputed slot runs the batch kernel's per-lane arithmetic (itself
-    /// bit-identical to scalar), and propagation past a slot stops only
-    /// when **every** lane's bits are unchanged — a pure function of
-    /// unchanged children, by induction over the topological order.
+    /// mode or tape, or has a different lane count (which covers a
+    /// different block width), so it is always safe to call. Lane `l` is
+    /// bit-for-bit the scalar [`evaluate`](TapeEvaluator::evaluate) of
+    /// that lane's weights: every recomputed slot runs the batch kernel's
+    /// per-lane arithmetic (itself bit-identical to scalar), and
+    /// propagation past a slot stops only when **every** lane's bits are
+    /// unchanged — a pure function of unchanged children, by induction
+    /// over the topological order.
     ///
     /// The caller must list every variable whose weights changed in **any**
     /// lane since the previous pass (listing unchanged ones is harmless).
@@ -1330,164 +1307,11 @@ impl TapeEvaluator {
         }
         tape.check_weights(weights.num_slots());
         let nb = weights.blocks_per_row();
-        self.delta_update_batch(tape, weights, changed_vars, nb, false);
-        self.unpack_root(tape, nb, k)
-    }
-
-    /// The batched analogue of [`delta_update`](TapeEvaluator::delta_update):
-    /// one ascending flag-scan sweep recomputing dirty slot *rows* (all `k`
-    /// lanes) with a single decode each, propagating to parents when any
-    /// lane's bits changed. `full_products` selects the differential
-    /// passes' no-short-circuit AND arithmetic, exactly as in the scalar
-    /// kernel.
-    fn delta_update_batch(
-        &mut self,
-        tape: &AcTape,
-        weights: &AcWeightsBatch,
-        changed_vars: &[u32],
-        nb: usize,
-        full_products: bool,
-    ) {
-        let n = tape.ops.len();
-        if self.queued.len() < n {
-            self.queued.resize(n, false);
-        }
-        let mut pending = 0usize;
-        let mut cursor = n;
-        for &v in changed_vars {
-            for lit in [v as Lit, -(v as Lit)] {
-                if let Some(slot) = tape.lit_slot(lit) {
-                    if !self.queued[slot as usize] {
-                        self.queued[slot as usize] = true;
-                        pending += 1;
-                        cursor = cursor.min(slot as usize);
-                    }
-                }
-            }
-        }
-        // Row scratch: the candidate new blocks of the slot being
-        // recomputed (all lanes), compared bitwise against the cached
-        // row before overwriting. Dead remainder lanes are deterministic
-        // functions of the zero-filled weights, so whole-block bitwise
-        // comparison stays sound for ragged batches.
-        self.bacc.clear();
-        self.bacc.resize(nb, LaneBlock::ZERO);
-        while pending > 0 {
-            if !self.queued[cursor] {
-                cursor += 1;
-                continue;
-            }
-            self.queued[cursor] = false;
-            pending -= 1;
-            let op = tape.ops[cursor];
-            let row = cursor * nb;
-            {
-                // Disjoint field borrows: children are read from `bvalues`
-                // (all at slots < cursor), the candidate row lands in `bacc`.
-                let values = &self.bvalues;
-                let out = &mut self.bacc[..nb];
-                match op.kind {
-                    TapeOpKind::Const => out.fill(LaneBlock::splat(tape.consts[op.a as usize])),
-                    TapeOpKind::Lit => out.copy_from_slice(weights.row_blocks_by_slot(op.a)),
-                    TapeOpKind::And2 => {
-                        let arow = &values[op.a as usize * nb..op.a as usize * nb + nb];
-                        let brow = &values[op.b as usize * nb..op.b as usize * nb + nb];
-                        for (acc, (x, y)) in out.iter_mut().zip(arow.iter().zip(brow)) {
-                            *acc = LaneBlock::one_times(x);
-                            if full_products {
-                                acc.mul_assign(y);
-                            } else {
-                                acc.mul_assign_sc(y);
-                            }
-                        }
-                    }
-                    TapeOpKind::And => {
-                        out.fill(LaneBlock::ONE);
-                        for &c in &tape.edges[op.a as usize..op.b as usize] {
-                            if !full_products && out.iter().all(LaneBlock::all_zero) {
-                                break;
-                            }
-                            let child = &values[c as usize * nb..c as usize * nb + nb];
-                            for (acc, v) in out.iter_mut().zip(child) {
-                                if full_products {
-                                    acc.mul_assign(v);
-                                } else {
-                                    acc.mul_assign_sc(v);
-                                }
-                            }
-                        }
-                    }
-                    TapeOpKind::Or => {
-                        let arow = op.a as usize * nb;
-                        let brow = op.b as usize * nb;
-                        for (bi, acc) in out.iter_mut().enumerate() {
-                            acc.add_of(&values[arow + bi], &values[brow + bi]);
-                        }
-                    }
-                }
-            }
-            let old = &self.bvalues[row..row + nb];
-            let any_changed = self.bacc[..nb]
-                .iter()
-                .zip(old)
-                .any(|(new, old)| new.bits_ne(old));
-            if any_changed {
-                self.bvalues[row..row + nb].copy_from_slice(&self.bacc[..nb]);
-                for &p in tape.parents_of(cursor as TapeId) {
-                    if !self.queued[p as usize] {
-                        self.queued[p as usize] = true;
-                        pending += 1;
-                    }
-                }
-            }
-            cursor += 1;
-        }
-    }
-
-    /// The lane-strided full-product upward half shared by the batch
-    /// differential passes; flags the buffer for batch differential delta
-    /// reuse.
-    fn upward_full_products_batch(&mut self, tape: &AcTape, weights: &AcWeightsBatch, k: usize) {
-        let n = tape.ops.len();
-        let nb = weights.blocks_per_row();
-        self.ensure_bvalues(n * nb);
-        self.value_lanes = k;
-        self.values_mode = ValuesMode::BatchDiffUpward;
-        self.values_stamp = tape.stamp;
-        let values = &mut self.bvalues[..n * nb];
-        for (i, op) in tape.ops.iter().enumerate() {
-            let row = i * nb;
-            let (head, tail) = values.split_at_mut(row);
-            let out = &mut tail[..nb];
-            match op.kind {
-                TapeOpKind::Const => out.fill(LaneBlock::splat(tape.consts[op.a as usize])),
-                TapeOpKind::Lit => out.copy_from_slice(weights.row_blocks_by_slot(op.a)),
-                TapeOpKind::And2 => {
-                    let arow = &head[op.a as usize * nb..op.a as usize * nb + nb];
-                    let brow = &head[op.b as usize * nb..op.b as usize * nb + nb];
-                    for (acc, (x, y)) in out.iter_mut().zip(arow.iter().zip(brow)) {
-                        *acc = LaneBlock::one_times(x);
-                        acc.mul_assign(y);
-                    }
-                }
-                TapeOpKind::And => {
-                    out.fill(LaneBlock::ONE);
-                    for &c in &tape.edges[op.a as usize..op.b as usize] {
-                        let child = &head[c as usize * nb..c as usize * nb + nb];
-                        for (a, v) in out.iter_mut().zip(child) {
-                            a.mul_assign(v);
-                        }
-                    }
-                }
-                TapeOpKind::Or => {
-                    let arow = op.a as usize * nb;
-                    let brow = op.b as usize * nb;
-                    for (bi, a) in out.iter_mut().enumerate() {
-                        a.add_of(&head[arow + bi], &head[brow + bi]);
-                    }
-                }
-            }
-        }
+        at_width!(self, weights, |s, w| {
+            s.delta(tape, w, changed_vars, nb, false, &mut self.queued);
+            unpack_row(&s.values, tape.root as usize, nb, k, &mut self.root_out);
+        });
+        &self.root_out
     }
 
     /// Batched [`differentials`](TapeEvaluator::differentials) with the
@@ -1519,8 +1343,13 @@ impl TapeEvaluator {
             return;
         }
         tape.check_weights(weights.num_slots());
-        self.upward_full_products_batch(tape, weights, k);
-        self.downward_cone_batch(tape, cone, k);
+        self.values_mode = ValuesMode::BatchDiffUpward;
+        self.values_stamp = tape.stamp;
+        let nb = weights.blocks_per_row();
+        at_width!(self, weights, |s, w| {
+            s.upward_full_products(tape, w, nb);
+            s.downward_cone(tape, cone, k);
+        });
     }
 
     /// [`differentials_cone_batch`](TapeEvaluator::differentials_cone_batch)
@@ -1550,224 +1379,11 @@ impl TapeEvaluator {
         }
         tape.check_weights(weights.num_slots());
         self.partial_lanes = k;
-        self.delta_update_batch(tape, weights, changed_vars, weights.blocks_per_row(), true);
-        self.downward_cone_batch(tape, cone, k);
-    }
-
-    /// Hints the CPU to start pulling the block row starting at `buf[at]`
-    /// — the batch cone downward sweep is latency-bound on scattered row
-    /// fetches (a few hundred cycles of stall against a couple hundred
-    /// cycles of arithmetic per slot), so the hint is nearly free and
-    /// hides most of the miss. No-op off x86_64.
-    #[inline(always)]
-    // Audited exception to the workspace `unsafe_code` deny: a pure
-    // cache hint, no architectural reads or writes.
-    #[allow(unsafe_code)]
-    fn prefetch_row(buf: &[LaneBlock], at: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // Touch only the first block (128 bytes = two cache lines);
-            // the in-row access pattern is sequential, so the hardware
-            // stream prefetcher covers any further blocks. Requesting
-            // every line of every row of a wide product node floods the
-            // load queue and evicts live data — measurably slower than
-            // under-prefetching.
-            if at < buf.len() {
-                // SAFETY: `at` is in bounds; prefetch reads nothing
-                // architecturally and has no side effects beyond the cache.
-                unsafe {
-                    let p = buf.as_ptr().add(at) as *const i8;
-                    core::arch::x86_64::_mm_prefetch(p, core::arch::x86_64::_MM_HINT_T0);
-                    core::arch::x86_64::_mm_prefetch(p.add(64), core::arch::x86_64::_MM_HINT_T0);
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = (buf, at);
-    }
-
-    /// The cone-restricted batch downward sweep. Every parent of a cone
-    /// slot is itself a cone slot (the cone is an ancestor closure), so each
-    /// cone slot receives exactly the contributions the full scalar sweep
-    /// gives it, in the same descending order and with the same per-node
-    /// multiplication sequence; per-lane accumulation therefore matches the
-    /// scalar [`differentials`](TapeEvaluator::differentials) bit for bit
-    /// (zero-partial adds are bitwise no-ops, so the lane loops run
-    /// branchless where the scalar sweep skips).
-    fn downward_cone_batch(&mut self, tape: &AcTape, cone: &DiffCone, k: usize) {
-        debug_assert_eq!(cone.stamp, tape.stamp, "cone built for a different tape");
-        let n = tape.ops.len();
-        let nb = blocks_for(k);
-        let values = &self.bvalues[..n * nb];
-        if self.bpartials.len() < n * nb {
-            self.bpartials.resize(n * nb, LaneBlock::ZERO);
-        }
-        self.partial_lanes = k;
-        let partials = &mut self.bpartials[..n * nb];
-        for &s in &cone.slots {
-            partials[s as usize * nb..s as usize * nb + nb].fill(LaneBlock::ZERO);
-        }
-        if cone.slots.is_empty() {
-            return;
-        }
-        let root_row = tape.root as usize * nb;
-        // Masked seed (live lanes one, dead remainder lanes zero): dead
-        // partial lanes never turn nonzero through the multiplies below,
-        // so the all-zero row skips fire as they would for a full block.
-        masked_ones_row(&mut partials[root_row..root_row + nb], k);
-        self.bsuffix.clear();
-        self.bsuffix.resize(nb, LaneBlock::ONE);
-        self.bacc.clear();
-        self.bacc.resize(nb, LaneBlock::ONE);
-        let stash = tape.max_and_arity as usize * nb;
-        if self.bprefix.len() < stash {
-            self.bprefix.resize(stash, LaneBlock::ZERO);
-        }
-        let slots = &cone.slots;
-        for idx in (0..slots.len()).rev() {
-            let i = slots[idx] as usize;
-            let row = i * nb;
-            let op = tape.ops[i];
-            // The sweep is latency-bound on the scattered child rows
-            // (a few thousand slots, each touching 2+ rows far apart),
-            // so request the rows of a slot a few iterations ahead while
-            // this one computes. Pure hint: no effect on results.
-            if idx >= 8 {
-                let f = slots[idx - 8] as usize;
-                let fop = tape.ops[f];
-                match fop.kind {
-                    TapeOpKind::And2 | TapeOpKind::Or => {
-                        Self::prefetch_row(values, fop.a as usize * nb);
-                        Self::prefetch_row(values, fop.b as usize * nb);
-                        Self::prefetch_row(partials, fop.a as usize * nb);
-                        Self::prefetch_row(partials, fop.b as usize * nb);
-                        Self::prefetch_row(partials, f * nb);
-                    }
-                    TapeOpKind::And => {
-                        for &c in &tape.edges[fop.a as usize..fop.b as usize] {
-                            Self::prefetch_row(values, c as usize * nb);
-                            if cone.member[c as usize] {
-                                Self::prefetch_row(partials, c as usize * nb);
-                            }
-                        }
-                        Self::prefetch_row(partials, f * nb);
-                    }
-                    _ => {}
-                }
-            }
-            match op.kind {
-                TapeOpKind::And2 => {
-                    // Unrolled two-child form of the generic suffix-stash/pq
-                    // sweep below — the same multiplication sequence per
-                    // lane (child a sees pq = p and suffix C_ONE·vb, child b
-                    // sees pq = p·va and suffix C_ONE), so partials stay
-                    // bit-identical without the per-slot scratch-buffer
-                    // traffic. Children sit at smaller slots than their
-                    // parent, so splitting at the parent row yields
-                    // borrow-disjoint slices and the inner loops carry no
-                    // bounds checks.
-                    let arow = op.a as usize * nb;
-                    let brow = op.b as usize * nb;
-                    let a_in = cone.member[op.a as usize];
-                    let b_in = cone.member[op.b as usize];
-                    if !a_in && !b_in {
-                        continue;
-                    }
-                    // No zero-partial select here: a zero `p` contributes
-                    // an exact-zero product, and accumulators never hold
-                    // -0.0 (they start at +0.0 and IEEE addition yields
-                    // +0.0 on cancellation), so the add is a bitwise
-                    // no-op — and the unconditional block op vectorizes.
-                    let (head, tail) = partials.split_at_mut(row);
-                    let p_row = &tail[..nb];
-                    if a_in {
-                        for bi in 0..nb {
-                            let ov = LaneBlock::one_times(&values[brow + bi]);
-                            head[arow + bi].add_mul(&p_row[bi], &ov);
-                        }
-                    }
-                    if b_in {
-                        for bi in 0..nb {
-                            let pv = p_row[bi].mul(&values[arow + bi]);
-                            head[brow + bi].add_mul(&pv, &LaneBlock::ONE);
-                        }
-                    }
-                }
-                TapeOpKind::And => {
-                    // Same multiplication sequence as the reference sweep,
-                    // restructured for memory behavior. A backward scan
-                    // stashes the running suffix at every child position
-                    // (the one scattered read per child row); a forward
-                    // scan then carries pq = p·(prefix product) in `bacc`
-                    // and pushes `pq · suffix[ci]` — a single multiply per
-                    // member lane — re-reading the child rows while they
-                    // are still cache-hot. One arity×nb stash instead of
-                    // two — the sweep is bandwidth-bound on these.
-                    // Contributions land in `head` (slots below `row`), so
-                    // `p_row` cannot change mid-slot, and the adds are
-                    // branchless like the And2 arm (zero-`p` adds are
-                    // bitwise no-ops).
-                    let (head, tail) = partials.split_at_mut(row);
-                    let p_row = &tail[..nb];
-                    if p_row.iter().all(LaneBlock::all_zero) {
-                        continue;
-                    }
-                    let cs: &[TapeId] = &tape.edges[op.a as usize..op.b as usize];
-                    // The suffix accumulates over every child (the product
-                    // sequence must match the full sweep's); only the adds
-                    // into non-cone children are skipped — they can never
-                    // flow back into a cone slot.
-                    self.bsuffix.fill(LaneBlock::ONE);
-                    for (ci, &c) in cs.iter().enumerate().rev() {
-                        self.bprefix[ci * nb..ci * nb + nb].copy_from_slice(&self.bsuffix);
-                        let child = &values[c as usize * nb..c as usize * nb + nb];
-                        for (s, v) in self.bsuffix.iter_mut().zip(child) {
-                            s.mul_assign(v);
-                        }
-                    }
-                    self.bacc[..nb].copy_from_slice(p_row);
-                    for (ci, &c) in cs.iter().enumerate() {
-                        let crow = c as usize * nb;
-                        if cone.member[c as usize] {
-                            let out = &mut head[crow..crow + nb];
-                            let suf = &self.bprefix[ci * nb..ci * nb + nb];
-                            for ((o, pq), s) in out.iter_mut().zip(self.bacc.iter()).zip(suf) {
-                                o.add_mul(pq, s);
-                            }
-                        }
-                        let child = &values[crow..crow + nb];
-                        for (a, v) in self.bacc.iter_mut().zip(child) {
-                            a.mul_assign(v);
-                        }
-                    }
-                }
-                TapeOpKind::Or => {
-                    let arow = op.a as usize * nb;
-                    let brow = op.b as usize * nb;
-                    let a_in = cone.member[op.a as usize];
-                    let b_in = cone.member[op.b as usize];
-                    if !a_in && !b_in {
-                        continue;
-                    }
-                    // Branchless for the same reason as the And2 arm: a
-                    // zero `p` add is a bitwise no-op on these
-                    // accumulators.
-                    let (head, tail) = partials.split_at_mut(row);
-                    let p_row = &tail[..nb];
-                    if a_in {
-                        for (o, p) in head[arow..arow + nb].iter_mut().zip(p_row) {
-                            o.add_assign(p);
-                        }
-                    }
-                    if b_in {
-                        for (o, p) in head[brow..brow + nb].iter_mut().zip(p_row) {
-                            o.add_assign(p);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
+        let nb = weights.blocks_per_row();
+        at_width!(self, weights, |s, w| {
+            s.delta(tape, w, changed_vars, nb, true, &mut self.queued);
+            s.downward_cone(tape, cone, k);
+        });
     }
 
     /// The root value of lane `lane` from the most recent batched pass.
@@ -1777,13 +1393,17 @@ impl TapeEvaluator {
     /// Panics if `lane` is not below the pass's lane count.
     #[inline]
     pub fn value_lane(&self, tape: &AcTape, lane: usize) -> Complex {
+        let k = self.value_lanes;
         assert!(
-            lane < self.value_lanes,
-            "lane {lane} out of range: the last pass filled {} lanes",
-            self.value_lanes
+            lane < k,
+            "lane {lane} out of range: the last pass filled {k} lanes"
         );
-        let nb = blocks_for(self.value_lanes);
-        self.bvalues[tape.root as usize * nb + lane / LANE_WIDTH].get(lane % LANE_WIDTH)
+        let root = tape.root as usize;
+        if lane_width(k) == NARROW_WIDTH {
+            lane_of(&self.narrow.values, root, k, lane)
+        } else {
+            lane_of(&self.wide.values, root, k, lane)
+        }
     }
 
     /// Gradient contraction over the most recent
@@ -1806,18 +1426,10 @@ impl TapeEvaluator {
     pub fn contract_tangent_broadcast(&mut self, plan: &TangentPlan, out: &mut [Complex]) {
         let k = self.partial_lanes;
         assert_eq!(out.len(), k, "output lane count mismatch");
-        let nb = blocks_for(k);
-        self.bacc.clear();
-        self.bacc.resize(nb, LaneBlock::ZERO);
-        for &(slot, t) in &plan.entries {
-            let prow = &self.bpartials[slot as usize * nb..slot as usize * nb + nb];
-            let tb = LaneBlock::splat(t);
-            for (o, p) in self.bacc.iter_mut().zip(prow) {
-                o.add_mul(p, &tb);
-            }
-        }
-        for (l, o) in out.iter_mut().enumerate() {
-            *o = self.bacc[l / LANE_WIDTH].get(l % LANE_WIDTH);
+        if lane_width(k) == NARROW_WIDTH {
+            self.narrow.contract(plan, out);
+        } else {
+            self.wide.contract(plan, out);
         }
     }
 
@@ -1898,67 +1510,518 @@ impl TapeEvaluator {
     }
 }
 
+/// The batch kernels' buffers at one block width `W`, node-major with
+/// `⌈k/W⌉` [`LaneBlock`]s per slot, and the kernels that run on them.
+/// [`TapeEvaluator`] holds one per width and runs each pass on the one
+/// its lane count selects ([`lane_width`]). Grow-only, like the scalar
+/// `values`.
+#[derive(Debug, Default)]
+struct BatchScratch<const W: usize> {
+    /// Per-slot lane-blocked values.
+    values: Vec<LaneBlock<W>>,
+    /// Per-slot lane-blocked partials for the cone downward sweep.
+    partials: Vec<LaneBlock<W>>,
+    /// Suffix-stash / suffix / accumulator scratch for the cone downward
+    /// sweep and its contraction (`acc` also holds the delta kernels'
+    /// candidate row). `prefix` is sized once per pass from the tape's
+    /// [`AcTape::max_and_arity`].
+    prefix: Vec<LaneBlock<W>>,
+    suffix: Vec<LaneBlock<W>>,
+    acc: Vec<LaneBlock<W>>,
+}
+
+impl<const W: usize> BatchScratch<W> {
+    /// Grows the value buffer to at least `len` blocks without re-zeroing
+    /// live ones: the batch passes overwrite every row they read.
+    #[inline]
+    fn ensure_values(&mut self, len: usize) {
+        if self.values.len() < len {
+            self.values.resize(len, LaneBlock::ZERO);
+        }
+    }
+
+    /// The short-circuited upward value pass: one fixed-width split-plane
+    /// loop per block serves every lane count, ragged batches riding the
+    /// masked remainder block.
+    fn upward(&mut self, tape: &AcTape, weights: &[LaneBlock<W>], nb: usize) {
+        let n = tape.ops.len();
+        self.ensure_values(n * nb);
+        let values = &mut self.values[..n * nb];
+        for (i, op) in tape.ops.iter().enumerate() {
+            // Children precede parents, so every child row sits in `head`.
+            let (head, tail) = values.split_at_mut(i * nb);
+            let out = &mut tail[..nb];
+            match op.kind {
+                TapeOpKind::Const => out.fill(LaneBlock::splat(tape.consts[op.a as usize])),
+                TapeOpKind::Lit => out.copy_from_slice(row_of(weights, op.a as usize, nb)),
+                TapeOpKind::And2 => {
+                    // The two-child product with the reference's
+                    // short-circuit sequence, as a select per lane.
+                    let arow = row_of(head, op.a as usize, nb);
+                    let brow = row_of(head, op.b as usize, nb);
+                    for (acc, (x, y)) in out.iter_mut().zip(arow.iter().zip(brow)) {
+                        *acc = LaneBlock::one_times(x);
+                        acc.mul_assign_sc(y);
+                    }
+                }
+                TapeOpKind::And => {
+                    let cs = &tape.edges[op.a as usize..op.b as usize];
+                    for (bi, acc) in out.iter_mut().enumerate() {
+                        *acc = and_block_sc(head, cs, nb, bi);
+                    }
+                }
+                TapeOpKind::Or => {
+                    let a = row_of(head, op.a as usize, nb);
+                    let b = row_of(head, op.b as usize, nb);
+                    for (acc, (x, y)) in out.iter_mut().zip(a.iter().zip(b)) {
+                        acc.add_of(x, y);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lane-strided full-product upward half of the batch
+    /// differential passes.
+    fn upward_full_products(&mut self, tape: &AcTape, weights: &[LaneBlock<W>], nb: usize) {
+        let n = tape.ops.len();
+        self.ensure_values(n * nb);
+        let values = &mut self.values[..n * nb];
+        for (i, op) in tape.ops.iter().enumerate() {
+            let (head, tail) = values.split_at_mut(i * nb);
+            let out = &mut tail[..nb];
+            match op.kind {
+                TapeOpKind::Const => out.fill(LaneBlock::splat(tape.consts[op.a as usize])),
+                TapeOpKind::Lit => out.copy_from_slice(row_of(weights, op.a as usize, nb)),
+                TapeOpKind::And2 => {
+                    let arow = row_of(head, op.a as usize, nb);
+                    let brow = row_of(head, op.b as usize, nb);
+                    for (acc, (x, y)) in out.iter_mut().zip(arow.iter().zip(brow)) {
+                        *acc = LaneBlock::one_times(x);
+                        acc.mul_assign(y);
+                    }
+                }
+                TapeOpKind::And => {
+                    out.fill(LaneBlock::ONE);
+                    for &c in &tape.edges[op.a as usize..op.b as usize] {
+                        for (a, v) in out.iter_mut().zip(row_of(head, c as usize, nb)) {
+                            a.mul_assign(v);
+                        }
+                    }
+                }
+                TapeOpKind::Or => {
+                    let arow = op.a as usize * nb;
+                    let brow = op.b as usize * nb;
+                    for (bi, a) in out.iter_mut().enumerate() {
+                        a.add_of(&head[arow + bi], &head[brow + bi]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The batched analogue of [`TapeEvaluator::delta_update`]: one
+    /// ascending flag-scan sweep recomputing dirty slot *rows* (all `k`
+    /// lanes) with a single decode each, propagating to parents when any
+    /// lane's bits changed. `full_products` selects the differential
+    /// passes' no-short-circuit AND arithmetic, exactly as in the scalar
+    /// kernel.
+    fn delta(
+        &mut self,
+        tape: &AcTape,
+        weights: &[LaneBlock<W>],
+        changed_vars: &[u32],
+        nb: usize,
+        full_products: bool,
+        queued: &mut Vec<bool>,
+    ) {
+        let (mut pending, mut cursor) = seed_dirty(tape, changed_vars, queued);
+        // Row scratch: the candidate new blocks of the slot being
+        // recomputed (all lanes), compared bitwise against the cached
+        // row before overwriting. Dead remainder lanes are deterministic
+        // functions of the zero-filled weights, so whole-block bitwise
+        // comparison stays sound for ragged batches.
+        self.acc.clear();
+        self.acc.resize(nb, LaneBlock::ZERO);
+        while pending > 0 {
+            if !queued[cursor] {
+                cursor += 1;
+                continue;
+            }
+            queued[cursor] = false;
+            pending -= 1;
+            let op = tape.ops[cursor];
+            let row = cursor * nb;
+            {
+                // Disjoint field borrows: children are read from `values`
+                // (all at slots < cursor), the candidate row lands in `acc`.
+                let values = &self.values;
+                let out = &mut self.acc[..nb];
+                match op.kind {
+                    TapeOpKind::Const => out.fill(LaneBlock::splat(tape.consts[op.a as usize])),
+                    TapeOpKind::Lit => out.copy_from_slice(row_of(weights, op.a as usize, nb)),
+                    TapeOpKind::And2 => {
+                        let arow = row_of(values, op.a as usize, nb);
+                        let brow = row_of(values, op.b as usize, nb);
+                        for (acc, (x, y)) in out.iter_mut().zip(arow.iter().zip(brow)) {
+                            *acc = LaneBlock::one_times(x);
+                            if full_products {
+                                acc.mul_assign(y);
+                            } else {
+                                acc.mul_assign_sc(y);
+                            }
+                        }
+                    }
+                    TapeOpKind::And if full_products => {
+                        // Child-outer: at wide lane counts the rows of a
+                        // large tape do not fit in L2, and one sequential
+                        // read of each child row beats re-reading it per
+                        // block.
+                        out.fill(LaneBlock::ONE);
+                        for &c in &tape.edges[op.a as usize..op.b as usize] {
+                            for (acc, v) in out.iter_mut().zip(row_of(values, c as usize, nb)) {
+                                acc.mul_assign(v);
+                            }
+                        }
+                    }
+                    TapeOpKind::And => {
+                        let cs = &tape.edges[op.a as usize..op.b as usize];
+                        for (bi, acc) in out.iter_mut().enumerate() {
+                            *acc = and_block_sc(values, cs, nb, bi);
+                        }
+                    }
+                    TapeOpKind::Or => {
+                        let arow = op.a as usize * nb;
+                        let brow = op.b as usize * nb;
+                        for (bi, acc) in out.iter_mut().enumerate() {
+                            acc.add_of(&values[arow + bi], &values[brow + bi]);
+                        }
+                    }
+                }
+            }
+            let old = &self.values[row..row + nb];
+            let any_changed = self.acc.iter().zip(old).any(|(new, old)| new.bits_ne(old));
+            if any_changed {
+                self.values[row..row + nb].copy_from_slice(&self.acc);
+                mark_parents(tape, cursor, queued, &mut pending);
+            }
+            cursor += 1;
+        }
+    }
+
+    /// The cone-restricted batch downward sweep. Every parent of a cone
+    /// slot is itself a cone slot (the cone is an ancestor closure), so each
+    /// cone slot receives exactly the contributions the full scalar sweep
+    /// gives it, in the same descending order and with the same per-node
+    /// multiplication sequence; per-lane accumulation therefore matches the
+    /// scalar [`TapeEvaluator::differentials`] bit for bit (zero-partial
+    /// adds are bitwise no-ops, so the lane loops run branchless where the
+    /// scalar sweep skips).
+    fn downward_cone(&mut self, tape: &AcTape, cone: &DiffCone, k: usize) {
+        debug_assert_eq!(cone.stamp, tape.stamp, "cone built for a different tape");
+        let n = tape.ops.len();
+        let nb = blocks_for(k);
+        let values = &self.values[..n * nb];
+        if self.partials.len() < n * nb {
+            self.partials.resize(n * nb, LaneBlock::ZERO);
+        }
+        let partials = &mut self.partials[..n * nb];
+        for &s in &cone.slots {
+            partials[s as usize * nb..s as usize * nb + nb].fill(LaneBlock::ZERO);
+        }
+        if cone.slots.is_empty() {
+            return;
+        }
+        let root_row = tape.root as usize * nb;
+        // Masked seed (live lanes one, dead remainder lanes zero): dead
+        // partial lanes never turn nonzero through the multiplies below,
+        // so the all-zero row skips fire as they would for a full block.
+        masked_ones_row(&mut partials[root_row..root_row + nb], k);
+        self.suffix.clear();
+        self.suffix.resize(nb, LaneBlock::ONE);
+        self.acc.clear();
+        self.acc.resize(nb, LaneBlock::ONE);
+        let stash = tape.max_and_arity as usize * nb;
+        if self.prefix.len() < stash {
+            self.prefix.resize(stash, LaneBlock::ZERO);
+        }
+        let slots = &cone.slots;
+        for idx in (0..slots.len()).rev() {
+            let i = slots[idx] as usize;
+            let row = i * nb;
+            let op = tape.ops[i];
+            // The sweep is latency-bound on the scattered child rows
+            // (a few thousand slots, each touching 2+ rows far apart),
+            // so request the rows of a slot a few iterations ahead while
+            // this one computes. Pure hint: no effect on results.
+            if idx >= 8 {
+                let f = slots[idx - 8] as usize;
+                let fop = tape.ops[f];
+                match fop.kind {
+                    TapeOpKind::And2 | TapeOpKind::Or => {
+                        prefetch_row(values, fop.a as usize * nb);
+                        prefetch_row(values, fop.b as usize * nb);
+                        prefetch_row(partials, fop.a as usize * nb);
+                        prefetch_row(partials, fop.b as usize * nb);
+                        prefetch_row(partials, f * nb);
+                    }
+                    TapeOpKind::And => {
+                        for &c in &tape.edges[fop.a as usize..fop.b as usize] {
+                            prefetch_row(values, c as usize * nb);
+                            if cone.member[c as usize] {
+                                prefetch_row(partials, c as usize * nb);
+                            }
+                        }
+                        prefetch_row(partials, f * nb);
+                    }
+                    _ => {}
+                }
+            }
+            match op.kind {
+                TapeOpKind::And2 => {
+                    // Unrolled two-child form of the generic suffix-stash/pq
+                    // sweep below — the same multiplication sequence per
+                    // lane (child a sees pq = p and suffix C_ONE·vb, child b
+                    // sees pq = p·va and suffix C_ONE), so partials stay
+                    // bit-identical without the per-slot scratch-buffer
+                    // traffic. Children sit at smaller slots than their
+                    // parent, so splitting at the parent row yields
+                    // borrow-disjoint slices and the inner loops carry no
+                    // bounds checks.
+                    let arow = op.a as usize * nb;
+                    let brow = op.b as usize * nb;
+                    let a_in = cone.member[op.a as usize];
+                    let b_in = cone.member[op.b as usize];
+                    if !a_in && !b_in {
+                        continue;
+                    }
+                    // No zero-partial select here: a zero `p` contributes
+                    // an exact-zero product, and accumulators never hold
+                    // -0.0 (they start at +0.0 and IEEE addition yields
+                    // +0.0 on cancellation), so the add is a bitwise
+                    // no-op — and the unconditional block op vectorizes.
+                    let (head, tail) = partials.split_at_mut(row);
+                    let p_row = &tail[..nb];
+                    if a_in {
+                        for bi in 0..nb {
+                            let ov = LaneBlock::one_times(&values[brow + bi]);
+                            head[arow + bi].add_mul(&p_row[bi], &ov);
+                        }
+                    }
+                    if b_in {
+                        for bi in 0..nb {
+                            let pv = p_row[bi].mul(&values[arow + bi]);
+                            head[brow + bi].add_mul(&pv, &LaneBlock::ONE);
+                        }
+                    }
+                }
+                TapeOpKind::And => {
+                    // Same multiplication sequence as the reference sweep,
+                    // restructured for memory behavior. A backward scan
+                    // stashes the running suffix at every child position
+                    // (the one scattered read per child row); a forward
+                    // scan then carries pq = p·(prefix product) in `acc`
+                    // and pushes `pq · suffix[ci]` — a single multiply per
+                    // member lane — re-reading the child rows while they
+                    // are still cache-hot. One arity×nb stash instead of
+                    // two — the sweep is bandwidth-bound on these.
+                    // Contributions land in `head` (slots below `row`), so
+                    // `p_row` cannot change mid-slot, and the adds are
+                    // branchless like the And2 arm (zero-`p` adds are
+                    // bitwise no-ops).
+                    let (head, tail) = partials.split_at_mut(row);
+                    let p_row = &tail[..nb];
+                    if p_row.iter().all(LaneBlock::all_zero) {
+                        continue;
+                    }
+                    let cs: &[TapeId] = &tape.edges[op.a as usize..op.b as usize];
+                    // The suffix accumulates over every child (the product
+                    // sequence must match the full sweep's); only the adds
+                    // into non-cone children are skipped — they can never
+                    // flow back into a cone slot.
+                    self.suffix.fill(LaneBlock::ONE);
+                    for (ci, &c) in cs.iter().enumerate().rev() {
+                        self.prefix[ci * nb..ci * nb + nb].copy_from_slice(&self.suffix);
+                        for (s, v) in self.suffix.iter_mut().zip(row_of(values, c as usize, nb)) {
+                            s.mul_assign(v);
+                        }
+                    }
+                    self.acc.copy_from_slice(p_row);
+                    for (ci, &c) in cs.iter().enumerate() {
+                        let crow = c as usize * nb;
+                        if cone.member[c as usize] {
+                            let out = &mut head[crow..crow + nb];
+                            let suf = &self.prefix[ci * nb..ci * nb + nb];
+                            for ((o, pq), s) in out.iter_mut().zip(self.acc.iter()).zip(suf) {
+                                o.add_mul(pq, s);
+                            }
+                        }
+                        for (a, v) in self.acc.iter_mut().zip(&values[crow..crow + nb]) {
+                            a.mul_assign(v);
+                        }
+                    }
+                }
+                TapeOpKind::Or => {
+                    let arow = op.a as usize * nb;
+                    let brow = op.b as usize * nb;
+                    let a_in = cone.member[op.a as usize];
+                    let b_in = cone.member[op.b as usize];
+                    if !a_in && !b_in {
+                        continue;
+                    }
+                    // Branchless for the same reason as the And2 arm: a
+                    // zero `p` add is a bitwise no-op on these
+                    // accumulators.
+                    let (head, tail) = partials.split_at_mut(row);
+                    let p_row = &tail[..nb];
+                    if a_in {
+                        for (o, p) in head[arow..arow + nb].iter_mut().zip(p_row) {
+                            o.add_assign(p);
+                        }
+                    }
+                    if b_in {
+                        for (o, p) in head[brow..brow + nb].iter_mut().zip(p_row) {
+                            o.add_assign(p);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// [`TapeEvaluator::contract_tangent_broadcast`] over this width's
+    /// partials: `out.len()` lanes, plan order, from zero.
+    fn contract(&mut self, plan: &TangentPlan, out: &mut [Complex]) {
+        let nb = blocks_for(out.len());
+        self.acc.clear();
+        self.acc.resize(nb, LaneBlock::ZERO);
+        for &(slot, t) in &plan.entries {
+            let tb = LaneBlock::splat(t);
+            for (o, p) in self
+                .acc
+                .iter_mut()
+                .zip(row_of(&self.partials, slot as usize, nb))
+            {
+                o.add_mul(p, &tb);
+            }
+        }
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = self.acc[l / W].get(l % W);
+        }
+    }
+}
+
+/// Flags the slots of `changed_vars`' literals as dirty in `queued`:
+/// returns the number flagged and the lowest one (`tape.ops.len()` when
+/// none), where the delta kernels' ascending sweep starts.
+fn seed_dirty(tape: &AcTape, changed_vars: &[u32], queued: &mut Vec<bool>) -> (usize, usize) {
+    let n = tape.ops.len();
+    if queued.len() < n {
+        queued.resize(n, false);
+    }
+    let mut pending = 0usize;
+    let mut cursor = n;
+    for &v in changed_vars {
+        for lit in [v as Lit, -(v as Lit)] {
+            if let Some(slot) = tape.lit_slot(lit) {
+                if !queued[slot as usize] {
+                    queued[slot as usize] = true;
+                    pending += 1;
+                    cursor = cursor.min(slot as usize);
+                }
+            }
+        }
+    }
+    (pending, cursor)
+}
+
+/// Flags every parent of `slot` as dirty, counting the newly flagged ones
+/// into `pending`.
+#[inline]
+fn mark_parents(tape: &AcTape, slot: usize, queued: &mut [bool], pending: &mut usize) {
+    for &p in tape.parents_of(slot as TapeId) {
+        if !queued[p as usize] {
+            queued[p as usize] = true;
+            *pending += 1;
+        }
+    }
+}
+
+/// Block `bi` of the short-circuited product of the rows of `cs`, held in
+/// a register: it starts at one and stops at its own first all-zero test.
+/// Stopping per block is the whole-row break of the scalar kernel with
+/// less work — `mul_assign_sc` leaves an all-zero block's bits alone, so
+/// multiplying it on could not change them.
+#[inline(always)]
+fn and_block_sc<const W: usize>(
+    values: &[LaneBlock<W>],
+    cs: &[TapeId],
+    nb: usize,
+    bi: usize,
+) -> LaneBlock<W> {
+    let mut acc = LaneBlock::ONE;
+    for &c in cs {
+        if acc.all_zero() {
+            break;
+        }
+        acc.mul_assign_sc(&values[c as usize * nb + bi]);
+    }
+    acc
+}
+
+/// Lane `lane` of the `k`-lane row `id`.
+#[inline]
+fn lane_of<const W: usize>(values: &[LaneBlock<W>], id: usize, k: usize, lane: usize) -> Complex {
+    values[id * blocks_for(k) + lane / W].get(lane % W)
+}
+
 /// Fills `out` with the masked all-ones row for `k` live lanes: full
 /// blocks all-one, the trailing ragged block one in live lanes and zero in
 /// dead remainder lanes.
 #[inline]
-fn masked_ones_row(out: &mut [LaneBlock], k: usize) {
+fn masked_ones_row<const W: usize>(out: &mut [LaneBlock<W>], k: usize) {
     out.fill(LaneBlock::ONE);
-    let rem = k % LANE_WIDTH;
+    let rem = k % W;
     if rem != 0 {
         let last = out.last_mut().expect("k > 0 implies at least one block");
-        for w in rem..LANE_WIDTH {
+        for w in rem..W {
             last.set(w, C_ZERO);
         }
     }
 }
 
-/// The batched upward value pass over lane blocks: one fixed-width
-/// split-plane loop per block serves every lane count, ragged batches
-/// riding the masked remainder block (mirrors the enum batch kernel).
+/// Hints the CPU to start pulling the block starting at `buf[at]` — the
+/// batch cone downward sweep is latency-bound on scattered row fetches (a
+/// few hundred cycles of stall against a couple hundred cycles of
+/// arithmetic per slot), so the hint is nearly free and hides most of the
+/// miss. No-op off x86_64.
 #[inline(always)]
-fn batch_upward(tape: &AcTape, weights: &AcWeightsBatch, values: &mut [LaneBlock], nb: usize) {
-    for (i, op) in tape.ops.iter().enumerate() {
-        let row = i * nb;
-        // Children precede parents, so every child row sits in `head`.
-        let (head, tail) = values.split_at_mut(row);
-        let out = &mut tail[..nb];
-        match op.kind {
-            TapeOpKind::Const => out.fill(LaneBlock::splat(tape.consts[op.a as usize])),
-            TapeOpKind::Lit => out.copy_from_slice(weights.row_blocks_by_slot(op.a)),
-            TapeOpKind::And2 => {
-                // The two-child product with the reference's short-circuit
-                // sequence, as a select per lane.
-                let arow = &head[op.a as usize * nb..op.a as usize * nb + nb];
-                let brow = &head[op.b as usize * nb..op.b as usize * nb + nb];
-                for (acc, (x, y)) in out.iter_mut().zip(arow.iter().zip(brow)) {
-                    *acc = LaneBlock::one_times(x);
-                    acc.mul_assign_sc(y);
-                }
-            }
-            TapeOpKind::And => {
-                out.fill(LaneBlock::ONE);
-                for &c in &tape.edges[op.a as usize..op.b as usize] {
-                    // Per-lane zero short-circuit + whole-AND break once
-                    // every lane is dead, exactly as the enum batch kernel.
-                    if out.iter().all(LaneBlock::all_zero) {
-                        break;
-                    }
-                    let child = &head[c as usize * nb..c as usize * nb + nb];
-                    for (acc, v) in out.iter_mut().zip(child) {
-                        acc.mul_assign_sc(v);
-                    }
-                }
-            }
-            TapeOpKind::Or => {
-                let a = &head[op.a as usize * nb..op.a as usize * nb + nb];
-                let b = &head[op.b as usize * nb..op.b as usize * nb + nb];
-                for (acc, (x, y)) in out.iter_mut().zip(a.iter().zip(b)) {
-                    acc.add_of(x, y);
+// Audited exception to the workspace `unsafe_code` deny: a pure cache
+// hint, no architectural reads or writes.
+#[allow(unsafe_code)]
+fn prefetch_row<const W: usize>(buf: &[LaneBlock<W>], at: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        // Touch only the first block (one 64-byte line per 4 lanes); the
+        // in-row access pattern is sequential, so the hardware stream
+        // prefetcher covers any further blocks. Requesting every line of
+        // every row of a wide product node floods the load queue and
+        // evicts live data — measurably slower than under-prefetching.
+        if at < buf.len() {
+            let p = buf[at..].as_ptr().cast::<i8>();
+            for line in (0..std::mem::size_of::<LaneBlock<W>>()).step_by(64) {
+                // SAFETY: `line` stays inside block `at`, which is in
+                // bounds; prefetch reads nothing architecturally and has
+                // no side effects beyond the cache.
+                unsafe {
+                    core::arch::x86_64::_mm_prefetch(p.add(line), core::arch::x86_64::_MM_HINT_T0);
                 }
             }
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (buf, at);
 }
 
 /// An owned snapshot of a scalar differentials pass (value + per-slot
@@ -2351,6 +2414,7 @@ mod tests {
         for k in [
             1usize,
             4,
+            5,
             LANE_WIDTH - 1,
             LANE_WIDTH,
             LANE_WIDTH + 1,
@@ -2518,6 +2582,7 @@ mod tests {
             1usize,
             3,
             4,
+            5,
             LANE_WIDTH - 1,
             LANE_WIDTH + 1,
             16,
@@ -2581,6 +2646,66 @@ mod tests {
                         "k={k} step {step} lane {lane} (vs scalar)"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn alternating_block_widths_on_one_evaluator_match_scalar() {
+        // k = 4 runs on narrow 4-lane blocks and k = 8 on wide 8-lane
+        // ones. One evaluator switching between them, through full and
+        // delta passes (a delta right after a switch must fall back),
+        // must return every lane bit-equal to the scalar pass.
+        let f = random_cnf(6, 9, 5);
+        let compiled = compile(&f, &CompileOptions::default());
+        let groups: Vec<Vec<i32>> = (1..=6).map(|v| vec![v, -v]).collect();
+        let tape = AcTape::lower(&smooth(&compiled.nnf, &groups));
+        let mut rng = StdRng::seed_from_u64(83);
+        let mut narrow: Vec<AcWeights> = (0..4).map(|_| random_weights(6, &mut rng)).collect();
+        let mut wide: Vec<AcWeights> = (0..8).map(|_| random_weights(6, &mut rng)).collect();
+        let mut eval = TapeEvaluator::new();
+        let mut scalar = TapeEvaluator::new();
+        for step in 0..60 {
+            let lanes = if (step / 3) % 2 == 0 {
+                &mut narrow
+            } else {
+                &mut wide
+            };
+            let v = 1 + rng.gen_range(0..6) as u32;
+            if rng.gen::<bool>() {
+                // Shared evidence, as a Gray step writes it.
+                let (pos, neg) = if rng.gen::<bool>() {
+                    (C_ONE, C_ZERO)
+                } else {
+                    (C_ZERO, C_ONE)
+                };
+                for w in lanes.iter_mut() {
+                    w.set(v, pos, neg);
+                }
+            } else {
+                for w in lanes.iter_mut() {
+                    let pos = Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5);
+                    w.set(v, pos, C_ONE);
+                }
+            }
+            let batch = batch_of(lanes);
+            let got = if step % 5 == 0 {
+                eval.evaluate_batch(&tape, &batch).to_vec()
+            } else {
+                eval.evaluate_batch_delta(&tape, &batch, &[v]).to_vec()
+            };
+            assert_eq!(got.len(), lanes.len());
+            for (l, w) in lanes.iter().enumerate() {
+                let want = scalar.evaluate(&tape, w);
+                assert!(
+                    bits_eq(got[l], want),
+                    "step {step} k={} lane {l}",
+                    lanes.len()
+                );
+                assert!(
+                    bits_eq(eval.value_lane(&tape, l), want),
+                    "step {step} value_lane {l}"
+                );
             }
         }
     }
@@ -3011,9 +3136,13 @@ mod tests {
         // weights — through the fresh-evaluator (full upward) path and the
         // delta upward path, under shared evidence writes (the Gray-sweep
         // case) and per-lane parameter writes, at widths around the block
-        // boundary: 1, W−1, W, W+1, 2W+3.
+        // boundaries: 1, 3, 4, 5 around the narrow block and the switch to
+        // wide ones, then W−1, W, W+1, 2W+3.
         for k in [
             1,
+            NARROW_WIDTH - 1,
+            NARROW_WIDTH,
+            NARROW_WIDTH + 1,
             LANE_WIDTH - 1,
             LANE_WIDTH,
             LANE_WIDTH + 1,
@@ -3088,7 +3217,13 @@ mod tests {
         let tape = AcTape::lower(&nnf);
         let (plan, cone) = full_plan(&tape);
         let mut rng = StdRng::seed_from_u64(67);
-        for (from, to) in [(4, 2), (LANE_WIDTH + 1, 2), (2, LANE_WIDTH + 1)] {
+        for (from, to) in [
+            (4, 2),
+            (LANE_WIDTH + 1, 2),
+            (2, LANE_WIDTH + 1),
+            (4, 5),
+            (5, 4),
+        ] {
             let before: Vec<AcWeights> = (0..from).map(|_| random_weights(3, &mut rng)).collect();
             let after: Vec<AcWeights> = (0..to).map(|_| random_weights(3, &mut rng)).collect();
             let mut eval = TapeEvaluator::new();

@@ -7,15 +7,21 @@ use proptest::prelude::*;
 use qkc::circuit::{Circuit, Param, ParamMap};
 use qkc::engine::{BackendKind, Engine, EngineOptions, SweepSpec};
 use qkc::kc::KcSimulator;
+use qkc::knowledge::lanes::NARROW_WIDTH;
 use qkc::knowledge::LANE_WIDTH;
 use qkc::math::Complex;
 
 /// Batch widths straddling the lane-block boundaries of the blocked
-/// layout: a lone lane, one short of a block, exactly one block, one into
-/// the second block, and a ragged three-block batch. Every width must be
-/// bit-for-bit the scalar path — dead remainder lanes change nothing.
-const RAGGED_WIDTHS: [usize; 5] = [
+/// layout: a lone lane; one short of, exactly, and one past a narrow
+/// 4-lane block (where the block width switches to 8); one short of a
+/// wide block, exactly one, one into the second, and a ragged three-block
+/// batch. Every width must be bit-for-bit the scalar path — dead
+/// remainder lanes change nothing.
+const RAGGED_WIDTHS: [usize; 8] = [
     1,
+    NARROW_WIDTH - 1,
+    NARROW_WIDTH,
+    NARROW_WIDTH + 1,
     LANE_WIDTH - 1,
     LANE_WIDTH,
     LANE_WIDTH + 1,
@@ -118,8 +124,8 @@ proptest! {
     }
 
     /// Same contract on noisy circuits, through the random-event
-    /// enumeration of `output_probabilities`, at ragged widths around one
-    /// lane block.
+    /// enumeration of `output_probabilities`, at the ragged widths up to
+    /// one past the first wide block.
     #[test]
     fn batched_noisy_probabilities_match_scalar(
         instrs in proptest::collection::vec(arb_instr(2), 1..8),
@@ -137,7 +143,7 @@ proptest! {
             .iter()
             .map(|p| sim.bind(p).unwrap().output_probabilities())
             .collect();
-        for k in [1usize, LANE_WIDTH - 1, LANE_WIDTH, LANE_WIDTH + 1] {
+        for k in RAGGED_WIDTHS.into_iter().filter(|&k| k <= LANE_WIDTH + 1) {
             let batch = sim.bind_batch(&params[..k]).unwrap();
             let probs = batch.output_probabilities();
             for (lane, scalar) in scalars[..k].iter().enumerate() {

@@ -2,8 +2,8 @@
 //! input with a meaningful error (or a documented panic), never a wrong
 //! answer.
 
-use qkc::circuit::{Circuit, CircuitError, Param, ParamMap, PermutationOp};
-use qkc::engine::{Engine, EngineError, GradientSpec, SweepSpec};
+use qkc::circuit::{Circuit, CircuitError, NoiseChannel, Param, ParamMap, PermutationOp};
+use qkc::engine::{BackendKind, Engine, EngineError, EngineOptions, GradientSpec, SweepSpec};
 use qkc::kc::KcSimulator;
 use qkc::statevector::StateVectorSimulator;
 use qkc::tensornet::TensorNetwork;
@@ -152,6 +152,141 @@ fn engine_gradient_handles_empty_and_unknown_wrt_without_panicking() {
         "expected a typed circuit error, got {err:?}"
     );
     assert!(err.to_string().contains("`t` has no bound value"), "{err}");
+}
+
+/// A NaN or infinite angle and an out-of-range or NaN noise probability
+/// are typed errors naming the symbol and value at every engine query, on
+/// the planned backend and on each forced one — never a panic, never a
+/// silent NaN. In a sweep, only the bad point fails.
+#[test]
+fn bad_bindings_are_typed_errors_at_every_engine_query() {
+    let mut c = Circuit::new(2);
+    c.h(0)
+        .rx(0, Param::symbol("t"))
+        .noise(
+            NoiseChannel::Depolarizing {
+                p: Param::symbol("p"),
+            },
+            0,
+        )
+        .cnot(0, 1);
+    let point = |t: f64, p: f64| ParamMap::from_pairs([("t", t), ("p", p)]);
+    let good = point(0.4, 0.05);
+    let cases = [
+        ("t", point(f64::NAN, 0.05), f64::NAN),
+        ("t", point(f64::INFINITY, 0.05), f64::INFINITY),
+        ("p", point(0.4, 1.5), 1.5),
+        ("p", point(0.4, f64::NAN), f64::NAN),
+    ];
+    let obs = |bits: usize| bits as f64;
+    let engines = [
+        ("planned", Engine::new()),
+        (
+            "kc",
+            Engine::with_options(
+                EngineOptions::default().with_backend(BackendKind::KnowledgeCompilation),
+            ),
+        ),
+        (
+            "statevector",
+            Engine::with_options(EngineOptions::default().with_backend(BackendKind::StateVector)),
+        ),
+        (
+            "densitymatrix",
+            Engine::with_options(EngineOptions::default().with_backend(BackendKind::DensityMatrix)),
+        ),
+        (
+            "tensornet",
+            Engine::with_options(EngineOptions::default().with_backend(BackendKind::TensorNetwork)),
+        ),
+    ];
+    for (backend, engine) in &engines {
+        for (symbol, bad, value) in &cases {
+            let what = format!("{backend}: {symbol} = {value}");
+            let check = |query: &str, err: EngineError| match err {
+                EngineError::InvalidBinding {
+                    symbol: ref got,
+                    value: v,
+                    ..
+                } => {
+                    assert_eq!(got, symbol, "{what}, {query}");
+                    assert_eq!(v.to_bits(), value.to_bits(), "{what}, {query}");
+                    assert!(err.to_string().contains(*symbol), "{what}, {query}: {err}");
+                }
+                other => panic!("{what}, {query}: expected InvalidBinding, got {other:?}"),
+            };
+            check("probabilities", engine.probabilities(&c, bad).unwrap_err());
+            check("sample", engine.sample(&c, bad, 16, 1).unwrap_err());
+            check(
+                "expectation",
+                engine.expectation(&c, bad, &obs, 16, 1).unwrap_err(),
+            );
+            check(
+                "gradient",
+                engine.gradient(&c, bad, &obs, None).unwrap_err(),
+            );
+            let spec = GradientSpec::new(&obs);
+            // The first error in input order wins, and the good point may
+            // be unsupported on this backend, so the bad one leads.
+            let sweep = [bad.clone(), good.clone()];
+            check(
+                "gradient_sweep",
+                engine.gradient_sweep(&c, &sweep, &spec).unwrap_err(),
+            );
+            // Batch 16 puts both points in one lane: the bad point fails
+            // alone, and the good one is answered as if it ran by itself.
+            let spec = SweepSpec::expectation(&obs).with_seed(5);
+            let report = engine
+                .sweep_report(&c, &[good.clone(), bad.clone(), good.clone()], &spec)
+                .unwrap();
+            assert_eq!(report.failures.len() + report.points.len(), 3, "{what}");
+            for failure in &report.failures {
+                if failure.index == 1 {
+                    check("sweep point", failure.error.clone());
+                } else {
+                    assert!(
+                        !matches!(failure.error, EngineError::InvalidBinding { .. }),
+                        "{what}: good point {} rejected",
+                        failure.index
+                    );
+                }
+            }
+            assert!(
+                report.failures.iter().any(|f| f.index == 1),
+                "{what}: bad point passed"
+            );
+            let alone = engine
+                .sweep_report(&c, std::slice::from_ref(&good), &spec)
+                .unwrap();
+            if let (Some(a), Some(b)) = (alone.points.first(), report.points.first()) {
+                assert_eq!(
+                    a.expectation.map(f64::to_bits),
+                    b.expectation.map(f64::to_bits),
+                    "{what}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn constant_noise_probabilities_out_of_range_are_typed_errors() {
+    let mut c = Circuit::new(1);
+    c.h(0).bit_flip(0, 1.5);
+    let err = Engine::new()
+        .probabilities(&c, &ParamMap::new())
+        .unwrap_err();
+    assert!(
+        matches!(err, EngineError::InvalidBinding { value, .. } if value == 1.5),
+        "{err:?}"
+    );
+    let mut c = Circuit::new(1);
+    c.h(0)
+        .noise(NoiseChannel::asymmetric_depolarizing(0.5, 0.4, 0.3), 0);
+    let err = Engine::new()
+        .probabilities(&c, &ParamMap::new())
+        .unwrap_err();
+    assert!(err.to_string().contains("sum past 1"), "{err}");
 }
 
 #[test]

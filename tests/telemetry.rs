@@ -286,6 +286,28 @@ fn snapshots_stay_consistent_under_concurrent_recording() {
     telemetry::reset();
 }
 
+/// `kernel/batch/remainder_lanes` counts dead lanes at the block width
+/// the kernels actually run: a 4-point lane fills one narrow 4-lane block,
+/// and 5 points switch to one 8-lane block with 3 dead lanes.
+#[test]
+fn remainder_lanes_are_counted_at_the_chosen_block_width() {
+    let _guard = lock();
+    let _flag = FlagGuard::set(true);
+    let sim = qkc::kc::KcSimulator::compile(&noisy_sweep_circuit(), &Default::default());
+    let lanes_after_bind = |k: usize| {
+        telemetry::reset();
+        sim.bind_batch(&sweep_params(k)).expect("bind");
+        let snap = telemetry::snapshot();
+        (
+            snap.counter("kernel/batch/width").unwrap_or(0),
+            snap.counter("kernel/batch/remainder_lanes").unwrap_or(0),
+        )
+    };
+    assert_eq!(lanes_after_bind(4), (4, 0), "k=4 fills a narrow block");
+    assert_eq!(lanes_after_bind(5), (5, 3), "k=5 pads an 8-lane block");
+    telemetry::reset();
+}
+
 #[test]
 fn resilience_counters_and_retry_latency_are_recorded() {
     use qkc::engine::{CacheOptions, EngineError, FaultPlan, QueryBudget};
