@@ -312,10 +312,10 @@ pub trait Backend: Send + Sync {
     /// The default implementation evaluates central finite differences
     /// (`±`[`FD_STEP`](crate::FD_STEP) per symbol) through one
     /// [`Backend::expectation_batch`] call and flags the result
-    /// [`GradientResult::exact`]` = false`. Compile-once backends override
-    /// it with the exact parameter-shift rule ([`KcBackend`] evaluates
-    /// every shifted binding as a lane of one batched bind against the
-    /// cached artifact).
+    /// [`GradientResult::exact`]` = false`. [`KcBackend`] overrides it
+    /// with exact gradients on the cached artifact: the one-pass analytic
+    /// path, or the parameter-shift rule when a `wrt` symbol sits in a
+    /// noise channel (see [`KcBackend::with_force_shift`]).
     ///
     /// Symbols absent from the circuit get gradient component 0; symbols
     /// the circuit mentions must be bound in `params`.

@@ -1,5 +1,7 @@
-//! Engine-level gradient queries: exact parameter-shift on the compiled
-//! artifact, finite differences everywhere else.
+//! Engine-level gradient queries by shifted evaluations: the exact
+//! parameter-shift rule, with central finite differences as the fallback.
+//! The knowledge-compilation backend's primary gradient path does not come
+//! through here (see below).
 //!
 //! A variational objective `E(θ) = ⟨obs⟩_{circuit(θ)}` restricted to one
 //! rotation-like gate parameter is a low-degree trigonometric polynomial,
@@ -12,14 +14,19 @@
 //! so shared symbols — QAOA's one `gamma` across every edge, VQE's one
 //! entangler angle per layer — still get exact gradients.
 //!
-//! On the knowledge-compilation backend every shifted binding is a lane of
-//! **one batched bind** against the cached artifact: the whole gradient is
-//! one compile (amortized across the optimization run by the artifact
-//! cache), one batched bind, and one Gray-ordered basis sweep whose
-//! delta-aware batch kernel decodes each dirty tape slot once for all
-//! lanes. Backends without a shift structure fall back to central finite
-//! differences behind the same API, flagged [`GradientResult::exact`] `=
-//! false`.
+//! The knowledge-compilation backend answers gradient queries with the
+//! one-pass analytic
+//! [`BoundKcTangents::expectation_gradient`](qkc_core::BoundKcTangents::expectation_gradient):
+//! one differentials pass per basis state yields every symbol's derivative.
+//! It takes the shift path of this module only when a `wrt` symbol sits in
+//! a noise channel (noise symbols get finite differences there), or under
+//! [`KcBackend::with_force_shift`](crate::KcBackend::with_force_shift).
+//! Then every shifted binding is a lane of **one batched bind** against
+//! the cached artifact: one batched bind and one Gray-ordered basis sweep
+//! whose delta-aware batch kernel decodes each dirty tape slot once for
+//! all lanes. Backends without a shift structure fall back to central
+//! finite differences behind the same API, flagged
+//! [`GradientResult::exact`] `= false`.
 
 use qkc_circuit::{Circuit, Gate, Operation, ParamMap};
 

@@ -209,8 +209,9 @@ impl<'e, 'a, 'b> TermState<'e, 'a, 'b> {
 /// A gradient-capable optimizer for [`minimize_variational_gradient`].
 #[derive(Debug, Clone)]
 pub enum GradientOptimizer {
-    /// Adam over exact engine gradient queries (parameter-shift on the
-    /// compiled artifact): one batched gradient sweep per iteration.
+    /// Adam over exact engine gradient queries (the one-pass analytic
+    /// gradient on the compiled artifact; see [`Engine::gradient`]): one
+    /// gradient sweep per iteration.
     Adam(Adam),
     /// SPSA over objective values only: two-point sweeps per iteration,
     /// robust to sampled objectives — no gradient queries issued. The
@@ -259,9 +260,10 @@ const JACOBIAN_PROBE_STEP: f64 = 1.0 / 65536.0;
 /// reproducible across thread counts and batch widths.
 ///
 /// With [`GradientOptimizer::Adam`], each iteration issues one engine
-/// gradient query per term ([`Engine::gradient`]): exact parameter-shift
-/// on the knowledge-compilation backend, every shifted binding a lane of
-/// one batched bind against the same cached artifact the value sweeps use.
+/// gradient query per term ([`Engine::gradient`]). On the
+/// knowledge-compilation backend that is the one-pass analytic gradient,
+/// on the same cached artifact the value sweeps use; parameter shift runs
+/// only for a symbol in a noise channel.
 /// The gradient with respect to `x` is pulled back through `to_params` by
 /// the chain rule, with the coordinate map's Jacobian probed by central
 /// differences (exact-to-rounding for the affine maps the workloads use).

@@ -211,6 +211,29 @@ impl<'a> GibbsSampler<'a> {
         )
     }
 
+    /// [`GibbsSampler::new`] with both evaluators on the portable kernels,
+    /// for the tests that compare the two kernel instantiations.
+    #[cfg(test)]
+    pub(crate) fn new_portable(
+        tape: &'a AcTape,
+        base_weights: AcWeights,
+        vars: Vec<QueryVar>,
+        options: &GibbsOptions,
+    ) -> Self {
+        Self::with_kernel(
+            Kernel::Tape {
+                tape,
+                eval: TapeEvaluator::portable(),
+                side: TapeEvaluator::portable(),
+                changed: Vec::new(),
+                changed_full: true,
+            },
+            base_weights,
+            vars,
+            options,
+        )
+    }
+
     /// Creates a sampler running the original enum-arena kernels — the
     /// reference implementation the tape path is tested against. Same seed,
     /// same chain, bit for bit; every transition re-allocates its buffers.

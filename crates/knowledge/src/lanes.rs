@@ -10,11 +10,12 @@
 //!
 //! A batch of `k` lanes runs on blocks of [`lane_width`]`(k)` lanes:
 //! [`NARROW_WIDTH`] (4) when `k ≤ 4`, otherwise [`LANE_WIDTH`] (8). A
-//! short batch thus computes 4 lanes per slot instead of 8, while wider
-//! batches keep the 8-lane blocks that fill a 512-bit register (or two
-//! 256-bit ones) per plane. The width is a pure function of `k`; every
-//! kernel is generic over it, and the weight containers store their rows
-//! at the chosen width ([`LaneRows`]).
+//! short batch thus computes 4 lanes per slot instead of 8. One plane of
+//! an 8-lane block takes four 128-bit registers in the baseline x86-64
+//! build and two 256-bit ones in the tape kernels' AVX2 instantiation
+//! (a 4-lane plane: two, or one). The width is a pure function of `k`;
+//! every kernel is generic over it, and the weight containers store their
+//! rows at the chosen width ([`LaneRows`]).
 //!
 //! # Bit-exactness contract
 //!
@@ -50,9 +51,10 @@
 
 use qkc_math::{Complex, C_ONE};
 
-/// Widest lane block: 8 × f64 per plane fills one 512-bit vector register
-/// (or two 256-bit ones) per plane. Batches of more than
-/// [`NARROW_WIDTH`] lanes run at this width.
+/// Widest lane block: 8 × f64 per plane, four 128-bit registers in the
+/// baseline x86-64 build and two 256-bit ones in the tape kernels' AVX2
+/// instantiation. Batches of more than [`NARROW_WIDTH`] lanes run at this
+/// width.
 pub const LANE_WIDTH: usize = 8;
 
 /// Narrow lane block, for batches of at most this many lanes.

@@ -46,7 +46,19 @@
 //! * [`model_magnitudes`](TapeEvaluator::model_magnitudes) plus
 //!   [`draw_model`](TapeEvaluator::draw_model) match
 //!   [`sample_model`](crate::evaluate::sample_model), consuming the same
-//!   RNG stream.
+//!   RNG stream;
+//! * each arithmetic kernel is one `#[inline(always)]` body compiled
+//!   twice: portable, and with `avx2` enabled, which an evaluator runs
+//!   when the CPU reported AVX2 at its construction. Both give the same
+//!   bits: neither enables `fma`, so no multiply and add can fuse, and
+//!   the AVX2 copy runs the same IEEE operations on wider vectors.
+//!
+//! The one exception, for every pair above, is a NaN's payload when two
+//! NaNs of different payloads meet in an add or multiply: x86 keeps the
+//! first operand's, and two kernels, or two copies of one, may order
+//! those operands differently. Under finite weights every NaN is the
+//! processor's one default NaN, so this cannot happen (and the engine
+//! rejects non-finite bindings).
 //!
 //! The per-node operation sequence (child order, the zero short-circuit at
 //! AND nodes, the zero-partial skip in the downward pass, prefix/suffix
@@ -778,6 +790,8 @@ pub struct TapeEvaluator {
     demand_epoch: u32,
     /// Explicit descent stack of the demand-driven pass.
     demand_frames: Vec<DemandFrame>,
+    /// The instruction set the kernels run at, detected at construction.
+    isa: Isa,
 }
 
 /// A product or sum node the demand-driven pass is part-way through:
@@ -831,10 +845,91 @@ macro_rules! at_width {
     };
 }
 
+/// Runs `$body` at the instruction set `$isa`: the one dispatch on the
+/// instruction set per kernel pass. Each expansion compiles the body twice,
+/// into its own `portable` and `avx2` functions (an `#[inline(always)]`
+/// closure inlines into both), so `nm` lists each pass's two
+/// instantiations under the name of the method that runs it.
+macro_rules! at_isa {
+    ($isa:expr, $body:expr) => {{
+        #[inline(never)]
+        fn portable<R>(kernel: impl FnOnce() -> R) -> R {
+            kernel()
+        }
+        // `avx2` only, never `fma`: a fused multiply-add rounds once where
+        // the portable code rounds twice.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        fn avx2<R>(kernel: impl FnOnce() -> R) -> R {
+            kernel()
+        }
+        match $isa {
+            Isa::Portable => portable(
+                #[inline(always)]
+                || $body,
+            ),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => {
+                // SAFETY: `Isa::Avx2` is built only by `Isa::detect`, after
+                // `is_x86_feature_detected!("avx2")` returned true, so this
+                // CPU runs the AVX2 instructions `avx2` is compiled with.
+                // Audited exception to the workspace `unsafe_code` deny.
+                #[allow(unsafe_code)]
+                let out = unsafe {
+                    avx2(
+                        #[inline(always)]
+                        || $body,
+                    )
+                };
+                out
+            }
+        }
+    }};
+}
+
+/// The instruction set an evaluator's kernels run at (see [`at_isa!`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    /// The build target's baseline instructions.
+    Portable,
+    /// The same kernels compiled with `avx2` enabled. Built only by
+    /// [`Isa::detect`], after the CPU reported AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Default for Isa {
+    fn default() -> Self {
+        Self::detect()
+    }
+}
+
+impl Isa {
+    /// [`Isa::Avx2`] when the running CPU has AVX2, otherwise
+    /// [`Isa::Portable`].
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Self::Avx2;
+        }
+        Self::Portable
+    }
+}
+
 impl TapeEvaluator {
     /// A fresh evaluator with empty buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A fresh evaluator that runs the portable kernels even on a CPU
+    /// with AVX2, for the tests that compare the two instantiations.
+    #[cfg(test)]
+    pub(crate) fn portable() -> Self {
+        Self {
+            isa: Isa::Portable,
+            ..Self::default()
+        }
     }
 
     /// Grows `values` to at least `len` slots without re-zeroing live
@@ -850,6 +945,12 @@ impl TapeEvaluator {
     /// to [`evaluate`](crate::evaluate()) on the source [`Nnf`]. Zero
     /// allocations after the first call at a given size.
     pub fn evaluate(&mut self, tape: &AcTape, weights: &AcWeights) -> Complex {
+        at_isa!(self.isa, self.upward(tape, weights))
+    }
+
+    /// The kernel behind [`evaluate`](TapeEvaluator::evaluate).
+    #[inline(always)]
+    fn upward(&mut self, tape: &AcTape, weights: &AcWeights) -> Complex {
         tape.check_weights(weights.num_slots());
         let n = tape.ops.len();
         self.ensure_values(n);
@@ -903,6 +1004,13 @@ impl TapeEvaluator {
     /// unbounded. Only visited slots hold values afterwards, so the buffer
     /// is left invalid for the delta kernels.
     pub(crate) fn evaluate_demand(&mut self, tape: &AcTape, weights: &AcWeights) -> Complex {
+        at_isa!(self.isa, self.upward_demand(tape, weights))
+    }
+
+    /// The kernel behind
+    /// [`evaluate_demand`](TapeEvaluator::evaluate_demand).
+    #[inline(always)]
+    fn upward_demand(&mut self, tape: &AcTape, weights: &AcWeights) -> Complex {
         tape.check_weights(weights.num_slots());
         let n = tape.ops.len();
         self.ensure_values(n);
@@ -1015,7 +1123,10 @@ impl TapeEvaluator {
             return self.evaluate(tape, weights);
         }
         tape.check_weights(weights.num_slots());
-        self.delta_update(tape, weights, changed_vars, false);
+        at_isa!(
+            self.isa,
+            self.delta_update(tape, weights, changed_vars, false)
+        );
         self.values[tape.root as usize]
     }
 
@@ -1030,6 +1141,7 @@ impl TapeEvaluator {
     /// every dirty slot sees fully updated children, and a pending counter
     /// stops the sweep as soon as propagation dies out. A clean slot
     /// costs one flag test; a dirty one, one node recompute.
+    #[inline(always)]
     fn delta_update(
         &mut self,
         tape: &AcTape,
@@ -1089,13 +1201,16 @@ impl TapeEvaluator {
     /// multiplications by exact one). Zero allocations after warmup.
     pub fn differentials(&mut self, tape: &AcTape, weights: &AcWeights) -> Complex {
         tape.check_weights(weights.num_slots());
-        self.upward_full_products(tape, weights);
-        self.downward(tape)
+        at_isa!(self.isa, {
+            self.upward_full_products(tape, weights);
+            self.downward(tape)
+        })
     }
 
     /// The full-product upward half shared by the differential passes:
     /// fills `values` with every slot's value (no AND short-circuit) and
     /// flags the buffer for delta reuse.
+    #[inline(always)]
     fn upward_full_products(&mut self, tape: &AcTape, weights: &AcWeights) {
         let n = tape.ops.len();
         self.ensure_values(n);
@@ -1150,12 +1265,15 @@ impl TapeEvaluator {
             return self.differentials(tape, weights);
         }
         tape.check_weights(weights.num_slots());
-        self.delta_update(tape, weights, changed_vars, true);
-        self.downward(tape)
+        at_isa!(self.isa, {
+            self.delta_update(tape, weights, changed_vars, true);
+            self.downward(tape)
+        })
     }
 
     /// The downward (partial-derivative) sweep over the current
     /// full-product `values` buffer. Returns the root value.
+    #[inline(always)]
     fn downward(&mut self, tape: &AcTape) -> Complex {
         let n = tape.ops.len();
         let values = &self.values[..n];
@@ -1259,7 +1377,7 @@ impl TapeEvaluator {
         self.values_mode = ValuesMode::BatchEvaluate;
         self.values_stamp = tape.stamp;
         at_width!(self, weights, |s, w| {
-            s.upward(tape, w, nb);
+            at_isa!(self.isa, s.upward(tape, w, nb));
             unpack_row(&s.values, tape.root as usize, nb, k, &mut self.root_out);
         });
         &self.root_out
@@ -1308,7 +1426,10 @@ impl TapeEvaluator {
         tape.check_weights(weights.num_slots());
         let nb = weights.blocks_per_row();
         at_width!(self, weights, |s, w| {
-            s.delta(tape, w, changed_vars, nb, false, &mut self.queued);
+            at_isa!(
+                self.isa,
+                s.delta(tape, w, changed_vars, nb, false, &mut self.queued)
+            );
             unpack_row(&s.values, tape.root as usize, nb, k, &mut self.root_out);
         });
         &self.root_out
@@ -1346,10 +1467,10 @@ impl TapeEvaluator {
         self.values_mode = ValuesMode::BatchDiffUpward;
         self.values_stamp = tape.stamp;
         let nb = weights.blocks_per_row();
-        at_width!(self, weights, |s, w| {
+        at_width!(self, weights, |s, w| at_isa!(self.isa, {
             s.upward_full_products(tape, w, nb);
             s.downward_cone(tape, cone, k);
-        });
+        }));
     }
 
     /// [`differentials_cone_batch`](TapeEvaluator::differentials_cone_batch)
@@ -1380,10 +1501,10 @@ impl TapeEvaluator {
         tape.check_weights(weights.num_slots());
         self.partial_lanes = k;
         let nb = weights.blocks_per_row();
-        at_width!(self, weights, |s, w| {
+        at_width!(self, weights, |s, w| at_isa!(self.isa, {
             s.delta(tape, w, changed_vars, nb, true, &mut self.queued);
             s.downward_cone(tape, cone, k);
-        });
+        }));
     }
 
     /// The root value of lane `lane` from the most recent batched pass.
@@ -1427,9 +1548,9 @@ impl TapeEvaluator {
         let k = self.partial_lanes;
         assert_eq!(out.len(), k, "output lane count mismatch");
         if lane_width(k) == NARROW_WIDTH {
-            self.narrow.contract(plan, out);
+            at_isa!(self.isa, self.narrow.contract(plan, out));
         } else {
-            self.wide.contract(plan, out);
+            at_isa!(self.isa, self.wide.contract(plan, out));
         }
     }
 
@@ -1440,6 +1561,13 @@ impl TapeEvaluator {
     /// pass — weights that do not change between draws (the Gibbs
     /// zero-density redraw loop) pay this pass once.
     pub fn model_magnitudes(&mut self, tape: &AcTape, weights: &AcWeights) -> f64 {
+        at_isa!(self.isa, self.magnitudes(tape, weights))
+    }
+
+    /// The kernel behind
+    /// [`model_magnitudes`](TapeEvaluator::model_magnitudes).
+    #[inline(always)]
+    fn magnitudes(&mut self, tape: &AcTape, weights: &AcWeights) -> f64 {
         tape.check_weights(weights.num_slots());
         let n = tape.ops.len();
         if self.mags.len() < n {
@@ -1543,6 +1671,7 @@ impl<const W: usize> BatchScratch<W> {
     /// The short-circuited upward value pass: one fixed-width split-plane
     /// loop per block serves every lane count, ragged batches riding the
     /// masked remainder block.
+    #[inline(always)]
     fn upward(&mut self, tape: &AcTape, weights: &[LaneBlock<W>], nb: usize) {
         let n = tape.ops.len();
         self.ensure_values(n * nb);
@@ -1583,6 +1712,7 @@ impl<const W: usize> BatchScratch<W> {
 
     /// The lane-strided full-product upward half of the batch
     /// differential passes.
+    #[inline(always)]
     fn upward_full_products(&mut self, tape: &AcTape, weights: &[LaneBlock<W>], nb: usize) {
         let n = tape.ops.len();
         self.ensure_values(n * nb);
@@ -1626,6 +1756,7 @@ impl<const W: usize> BatchScratch<W> {
     /// lane's bits changed. `full_products` selects the differential
     /// passes' no-short-circuit AND arithmetic, exactly as in the scalar
     /// kernel.
+    #[inline(always)]
     fn delta(
         &mut self,
         tape: &AcTape,
@@ -1717,6 +1848,7 @@ impl<const W: usize> BatchScratch<W> {
     /// scalar [`TapeEvaluator::differentials`] bit for bit (zero-partial
     /// adds are bitwise no-ops, so the lane loops run branchless where the
     /// scalar sweep skips).
+    #[inline(always)]
     fn downward_cone(&mut self, tape: &AcTape, cone: &DiffCone, k: usize) {
         debug_assert_eq!(cone.stamp, tape.stamp, "cone built for a different tape");
         let n = tape.ops.len();
@@ -1892,6 +2024,7 @@ impl<const W: usize> BatchScratch<W> {
 
     /// [`TapeEvaluator::contract_tangent_broadcast`] over this width's
     /// partials: `out.len()` lanes, plan order, from zero.
+    #[inline(always)]
     fn contract(&mut self, plan: &TangentPlan, out: &mut [Complex]) {
         let nb = blocks_for(out.len());
         self.acc.clear();
@@ -2177,6 +2310,7 @@ mod tests {
     use super::*;
     use crate::compiler::{compile, CompileOptions};
     use crate::evaluate::{evaluate, evaluate_with_differentials, sample_model};
+    use crate::gibbs::{GibbsOptions, GibbsSampler, QueryVar};
     use crate::transform::smooth;
     use crate::NnfBuilder;
     use qkc_cnf::Cnf;
@@ -3273,6 +3407,250 @@ mod tests {
                 reference.differentials(&tape, w)
             ));
         }
+    }
+
+    /// Lane counts of the instantiation tests: both sides of the narrow
+    /// block, full and ragged wide blocks.
+    const ISA_LANES: [usize; 7] = [1, 3, 4, 5, 8, 9, 19];
+
+    /// Says so when this CPU has no AVX2: both evaluators of an
+    /// instantiation test then run the portable kernels.
+    fn note_if_portable_only() {
+        if TapeEvaluator::new().isa == Isa::Portable {
+            println!("no AVX2 on this CPU: compared only the portable kernels");
+        }
+    }
+
+    /// A weight for the instantiation tests: random, or a zero of either
+    /// sign, an exact one, or (rarely) NaN. Always the one NaN payload:
+    /// two different ones meeting is the contract's stated exception.
+    fn edge_weight(rng: &mut StdRng) -> Complex {
+        match rng.gen_range(0..50) {
+            0..=4 => C_ZERO,
+            5..=7 => Complex::new(-0.0, 0.0),
+            8..=9 => Complex::new(0.0, -0.0),
+            10..=14 => C_ONE,
+            15 => Complex::new(f64::NAN, 0.0),
+            _ => Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
+        }
+    }
+
+    /// Sets variable `v` of `w` to a pair of [`edge_weight`]s.
+    fn set_edge(w: &mut AcWeights, v: u32, rng: &mut StdRng) {
+        let (pos, neg) = (edge_weight(rng), edge_weight(rng));
+        w.set(v, pos, neg);
+    }
+
+    /// The smoothed tape of `random_cnf(8, 12, seed)`.
+    fn isa_tape(seed: u64) -> AcTape {
+        let f = random_cnf(8, 12, seed);
+        let compiled = compile(&f, &CompileOptions::default());
+        let groups: Vec<Vec<i32>> = (1..=8).map(|v| vec![v, -v]).collect();
+        AcTape::lower(&smooth(&compiled.nnf, &groups))
+    }
+
+    /// Asserts that two evaluators hold the same bits in every buffer a
+    /// kernel writes: scalar values, partials and magnitudes, the unpacked
+    /// batch roots, and the values and partials at both block widths.
+    fn assert_same_buffers(a: &TapeEvaluator, b: &TapeEvaluator, what: &str) {
+        fn plain(v: &[Complex]) -> Vec<[u64; 2]> {
+            v.iter().map(|c| [c.re.to_bits(), c.im.to_bits()]).collect()
+        }
+        fn blocked<const W: usize>(v: &[LaneBlock<W>]) -> Vec<[u64; 2]> {
+            v.iter()
+                .flat_map(|b| (0..W).map(|w| [b.re[w].to_bits(), b.im[w].to_bits()]))
+                .collect()
+        }
+        let mags = |e: &TapeEvaluator| e.mags.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+        assert!(plain(&a.values) == plain(&b.values), "{what}: values");
+        assert!(plain(&a.partials) == plain(&b.partials), "{what}: partials");
+        assert!(mags(a) == mags(b), "{what}: magnitudes");
+        assert!(plain(&a.root_out) == plain(&b.root_out), "{what}: roots");
+        assert!(
+            blocked(&a.narrow.values) == blocked(&b.narrow.values)
+                && blocked(&a.narrow.partials) == blocked(&b.narrow.partials),
+            "{what}: 4-lane blocks"
+        );
+        assert!(
+            blocked(&a.wide.values) == blocked(&b.wide.values)
+                && blocked(&a.wide.partials) == blocked(&b.wide.partials),
+            "{what}: 8-lane blocks"
+        );
+    }
+
+    #[test]
+    fn avx2_and_portable_scalar_kernels_give_the_same_bits() {
+        // The same pass sequence on both instantiations: full, delta and
+        // demand-driven upward passes, full and delta differentials, and
+        // magnitudes, under weights with signed zeros and NaN.
+        note_if_portable_only();
+        for seed in 0..6u64 {
+            let tape = isa_tape(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x15A);
+            let mut w = AcWeights::uniform(8);
+            for v in 1..=8 {
+                set_edge(&mut w, v, &mut rng);
+            }
+            let (mut fast, mut port) = (TapeEvaluator::new(), TapeEvaluator::portable());
+            for step in 0..60 {
+                let mut changed = vec![1 + rng.gen_range(0..8) as u32];
+                if rng.gen::<bool>() {
+                    changed.push(1 + rng.gen_range(0..8) as u32);
+                }
+                for &v in &changed {
+                    set_edge(&mut w, v, &mut rng);
+                }
+                let (a, b) = match step % 6 {
+                    0 => (fast.evaluate(&tape, &w), port.evaluate(&tape, &w)),
+                    1 | 2 => (
+                        fast.evaluate_delta(&tape, &w, &changed),
+                        port.evaluate_delta(&tape, &w, &changed),
+                    ),
+                    3 => (fast.differentials(&tape, &w), port.differentials(&tape, &w)),
+                    4 => (
+                        fast.differentials_delta(&tape, &w, &changed),
+                        port.differentials_delta(&tape, &w, &changed),
+                    ),
+                    _ => (
+                        fast.evaluate_demand(&tape, &w),
+                        port.evaluate_demand(&tape, &w),
+                    ),
+                };
+                let what = format!("seed {seed} step {step}");
+                assert!(bits_eq(a, b), "{what}: root {a:?} vs {b:?}");
+                let (ma, mb) = (
+                    fast.model_magnitudes(&tape, &w),
+                    port.model_magnitudes(&tape, &w),
+                );
+                assert_eq!(ma.to_bits(), mb.to_bits(), "{what}: root magnitude");
+                assert_same_buffers(&fast, &port, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_and_portable_batch_kernels_give_the_same_bits() {
+        // Full and delta batch passes, cone-restricted differentials and
+        // their contraction, on both instantiations, at lane counts on
+        // both sides of the 4-lane block and with ragged 8-lane blocks.
+        note_if_portable_only();
+        for k in ISA_LANES {
+            for seed in 0..3u64 {
+                let tape = isa_tape(seed);
+                let mut rng = StdRng::seed_from_u64(seed ^ ((k as u64) << 12));
+                let mut lanes: Vec<AcWeights> = (0..k)
+                    .map(|_| {
+                        let mut w = AcWeights::uniform(8);
+                        for v in 1..=8 {
+                            set_edge(&mut w, v, &mut rng);
+                        }
+                        w
+                    })
+                    .collect();
+                let plan = TangentPlan::new(&tape, &random_tangents(8, &mut rng));
+                let cone = DiffCone::new(&tape, plan.slots());
+                let (mut fast, mut port) = (TapeEvaluator::new(), TapeEvaluator::portable());
+                for step in 0..24 {
+                    let v = 1 + rng.gen_range(0..8) as u32;
+                    if rng.gen::<bool>() {
+                        // Shared evidence, as a Gray step writes it.
+                        let (pos, neg) = if rng.gen::<bool>() {
+                            (C_ONE, C_ZERO)
+                        } else {
+                            (Complex::new(-0.0, 0.0), C_ONE)
+                        };
+                        for w in &mut lanes {
+                            w.set(v, pos, neg);
+                        }
+                    } else {
+                        for w in &mut lanes {
+                            set_edge(w, v, &mut rng);
+                        }
+                    }
+                    let batch = batch_of(&lanes);
+                    let what = format!("k={k} seed {seed} step {step}");
+                    let (a, b) = match step % 4 {
+                        0 => (
+                            fast.evaluate_batch(&tape, &batch).to_vec(),
+                            port.evaluate_batch(&tape, &batch).to_vec(),
+                        ),
+                        1 => (
+                            fast.evaluate_batch_delta(&tape, &batch, &[v]).to_vec(),
+                            port.evaluate_batch_delta(&tape, &batch, &[v]).to_vec(),
+                        ),
+                        _ => {
+                            if step % 4 == 2 {
+                                fast.differentials_cone_batch(&tape, &batch, &cone);
+                                port.differentials_cone_batch(&tape, &batch, &cone);
+                            } else {
+                                fast.differentials_cone_batch_delta(&tape, &batch, &[v], &cone);
+                                port.differentials_cone_batch_delta(&tape, &batch, &[v], &cone);
+                            }
+                            let (mut ca, mut cb) = (vec![C_ZERO; k], vec![C_ZERO; k]);
+                            fast.contract_tangent_broadcast(&plan, &mut ca);
+                            port.contract_tangent_broadcast(&plan, &mut cb);
+                            (ca, cb)
+                        }
+                    };
+                    assert_eq!(a.len(), k, "{what}");
+                    for (l, (&x, &y)) in a.iter().zip(&b).enumerate() {
+                        assert!(bits_eq(x, y), "{what} lane {l}: {x:?} vs {y:?}");
+                        assert!(bits_eq(
+                            fast.value_lane(&tape, l),
+                            port.value_lane(&tape, l)
+                        ));
+                    }
+                    assert_same_buffers(&fast, &port, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_and_portable_gibbs_chains_match_state_for_state() {
+        // Five query variables over random CNFs whose other three
+        // variables carry complex weights: every chain transition (model
+        // sampling, full and delta differentials, demand-driven MH
+        // proposals) must draw the same state on both instantiations.
+        note_if_portable_only();
+        let mut satisfiable = 0;
+        for seed in 0..8u64 {
+            let tape = isa_tape(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x61B);
+            let mut base = AcWeights::uniform(8);
+            for v in 6..=8 {
+                base.set(
+                    v,
+                    Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
+                    Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
+                );
+            }
+            let vars: Vec<QueryVar> = (1..=5)
+                .map(|v| QueryVar {
+                    label: format!("x{v}"),
+                    value_lits: vec![-v, v],
+                    fixed: None,
+                })
+                .collect();
+            let options = GibbsOptions {
+                warmup: 20,
+                thin: 1,
+                seed,
+                mh_restart_prob: 0.2,
+            };
+            let mut fast = GibbsSampler::new(&tape, base.clone(), vars.clone(), &options);
+            let mut port = GibbsSampler::new_portable(&tape, base, vars, &options);
+            for step in 0..300 {
+                assert_eq!(fast.state(), port.state(), "seed {seed} step {step}");
+                fast.step();
+                port.step();
+            }
+            assert_eq!(fast.counts(), port.counts(), "seed {seed}");
+            let (a, b) = (fast.current_amplitude(), port.current_amplitude());
+            assert!(bits_eq(a, b), "seed {seed}: {a:?} vs {b:?}");
+            satisfiable += usize::from(a != C_ZERO);
+        }
+        assert!(satisfiable > 0, "no chain ran on a satisfiable circuit");
     }
 
     #[test]
