@@ -211,20 +211,21 @@ impl<'a> GibbsSampler<'a> {
         )
     }
 
-    /// [`GibbsSampler::new`] with both evaluators on the portable kernels,
-    /// for the tests that compare the two kernel instantiations.
+    /// [`GibbsSampler::new`] with both evaluators at the instruction set
+    /// `isa`, for the tests that compare the kernel instantiations.
     #[cfg(test)]
-    pub(crate) fn new_portable(
+    pub(crate) fn with_isa(
         tape: &'a AcTape,
         base_weights: AcWeights,
         vars: Vec<QueryVar>,
         options: &GibbsOptions,
+        isa: crate::tape::Isa,
     ) -> Self {
         Self::with_kernel(
             Kernel::Tape {
                 tape,
-                eval: TapeEvaluator::portable(),
-                side: TapeEvaluator::portable(),
+                eval: TapeEvaluator::with_isa(isa),
+                side: TapeEvaluator::with_isa(isa),
                 changed: Vec::new(),
                 changed_full: true,
             },

@@ -12,8 +12,10 @@
 //! [`NARROW_WIDTH`] (4) when `k ≤ 4`, otherwise [`LANE_WIDTH`] (8). A
 //! short batch thus computes 4 lanes per slot instead of 8. One plane of
 //! an 8-lane block takes four 128-bit registers in the baseline x86-64
-//! build and two 256-bit ones in the tape kernels' AVX2 instantiation
-//! (a 4-lane plane: two, or one). The width is a pure function of `k`;
+//! build, two 256-bit ones in the tape kernels' AVX2 instantiation and
+//! one 512-bit one in their AVX-512 instantiation, which only the 8-lane
+//! batch passes have (a 4-lane plane: two 128-bit registers, or one
+//! 256-bit one). The width is a pure function of `k`;
 //! every kernel is generic over it, and the weight containers store their
 //! rows at the chosen width ([`LaneRows`]).
 //!
@@ -39,9 +41,11 @@
 //! keeps the exact bits a taken branch would have left. The whole-block
 //! predicates ([`LaneBlock::all_zero`], [`LaneBlock::bits_ne`]) fold the
 //! lanes with `|` and `^` on `to_bits()` and test once at the end. The
-//! kernels still branch per *block* (an AND stops multiplying a block once
-//! all its lanes are zero; a delta pass propagates past a row only when
-//! some block changed), never per lane.
+//! short-circuited AND does not branch at all: it multiplies every child
+//! into every block, because the select keeps an all-zero block's bits.
+//! The kernels branch per *row* only (a delta pass propagates past a row
+//! when some block changed; the cone downward sweep skips a product whose
+//! partial row is all zero), never per lane.
 //!
 //! Ragged batches (`k` not a multiple of `W`) occupy `⌈k/W⌉` blocks;
 //! the trailing block's dead lanes are zero-filled by the weight
@@ -52,9 +56,9 @@
 use qkc_math::{Complex, C_ONE};
 
 /// Widest lane block: 8 × f64 per plane, four 128-bit registers in the
-/// baseline x86-64 build and two 256-bit ones in the tape kernels' AVX2
-/// instantiation. Batches of more than [`NARROW_WIDTH`] lanes run at this
-/// width.
+/// baseline x86-64 build, two 256-bit ones in the tape kernels' AVX2
+/// instantiation and one 512-bit one in their AVX-512 instantiation.
+/// Batches of more than [`NARROW_WIDTH`] lanes run at this width.
 pub const LANE_WIDTH: usize = 8;
 
 /// Narrow lane block, for batches of at most this many lanes.

@@ -48,10 +48,16 @@
 //!   [`sample_model`](crate::evaluate::sample_model), consuming the same
 //!   RNG stream;
 //! * each arithmetic kernel is one `#[inline(always)]` body compiled
-//!   twice: portable, and with `avx2` enabled, which an evaluator runs
-//!   when the CPU reported AVX2 at its construction. Both give the same
-//!   bits: neither enables `fma`, so no multiply and add can fuse, and
-//!   the AVX2 copy runs the same IEEE operations on wider vectors.
+//!   into up to three copies: portable; with `avx2` enabled, which an
+//!   evaluator runs when the CPU reported AVX2 at its construction; and,
+//!   for the 8-lane batch passes only, with `avx512f` enabled, which it
+//!   runs when the CPU also reported AVX-512F. All copies give the same
+//!   bits: each runs the same IEEE operations, on wider vectors in the
+//!   AVX2 and AVX-512 copies, and no multiply and add fuse. The AVX2
+//!   copy does not enable `fma`; `avx512f` implies it, so there the
+//!   guarantee rests on rustc never contracting float operations on its
+//!   own, which the release build's disassembly confirms (no
+//!   `vfmadd`/`vfmsub`/`vfnm` in any kernel copy).
 //!
 //! The one exception, for every pair above, is a NaN's payload when two
 //! NaNs of different payloads meet in an add or multiply: x86 keeps the
@@ -828,30 +834,68 @@ enum ValuesMode {
 }
 
 /// Runs `$body` with `$w` bound to `$weights`' rows and `$s` to `$eval`'s
-/// batch scratch of the same width: the one dispatch on the block width
-/// per batch pass. Each arm monomorphizes the same width-generic body.
+/// batch scratch of the same width, at `$eval`'s instruction set: the one
+/// dispatch on the block width and the instruction set per batch pass.
+/// Each arm monomorphizes the same width-generic body; the 8-lane arm
+/// also compiles its AVX-512 copy (see `at_isa!`).
 macro_rules! at_width {
     ($eval:ident, $weights:expr, |$s:ident, $w:ident| $body:expr) => {
         match $weights.rows() {
             LaneRows::Narrow($w) => {
                 let $s = &mut $eval.narrow;
-                $body
+                at_isa!($eval.isa, $body)
             }
             LaneRows::Wide($w) => {
                 let $s = &mut $eval.wide;
-                $body
+                at_isa!($eval.isa, avx512, $body)
             }
         }
     };
 }
 
 /// Runs `$body` at the instruction set `$isa`: the one dispatch on the
-/// instruction set per kernel pass. Each expansion compiles the body twice,
-/// into its own `portable` and `avx2` functions (an `#[inline(always)]`
-/// closure inlines into both), so `nm` lists each pass's two
-/// instantiations under the name of the method that runs it.
+/// instruction set per kernel pass. Each expansion compiles the body into
+/// its own `portable` and `avx2` functions (an `#[inline(always)]`
+/// closure inlines into each), so `nm` lists each pass's instantiations
+/// under the name of the method that runs it, and [`Isa::Avx512`] runs
+/// the `avx2` copy. The `avx512` form, which only the 8-lane batch passes
+/// use, adds a third copy, `avx512`, that [`Isa::Avx512`] runs instead:
+/// AVX-512 copies of the scalar and 4-lane passes measured slower or no
+/// faster than their AVX2 ones.
 macro_rules! at_isa {
     ($isa:expr, $body:expr) => {{
+        at_isa!(@copies);
+        match $isa {
+            Isa::Portable => portable(
+                #[inline(always)]
+                || $body,
+            ),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 | Isa::Avx512 => at_isa!(@run avx2, $body),
+        }
+    }};
+    ($isa:expr, avx512, $body:expr) => {{
+        at_isa!(@copies);
+        // `avx512f` implies `fma`, which no copy may use: the no-fusion
+        // guarantee rests on rustc never contracting a multiply and an
+        // add on its own (checked in the release build's disassembly).
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f")]
+        fn avx512<R>(kernel: impl FnOnce() -> R) -> R {
+            kernel()
+        }
+        match $isa {
+            Isa::Portable => portable(
+                #[inline(always)]
+                || $body,
+            ),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => at_isa!(@run avx2, $body),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => at_isa!(@run avx512, $body),
+        }
+    }};
+    (@copies) => {
         #[inline(never)]
         fn portable<R>(kernel: impl FnOnce() -> R) -> R {
             kernel()
@@ -863,39 +907,40 @@ macro_rules! at_isa {
         fn avx2<R>(kernel: impl FnOnce() -> R) -> R {
             kernel()
         }
-        match $isa {
-            Isa::Portable => portable(
+    };
+    (@run $copy:ident, $body:expr) => {{
+        // SAFETY: an evaluator holds `Isa::Avx2` or `Isa::Avx512` only
+        // after `Isa::detect` saw `is_x86_feature_detected!("avx2")`
+        // return true, and `Isa::Avx512` only after
+        // `is_x86_feature_detected!("avx512f")` did too, so this CPU runs
+        // the instructions the `avx2` and `avx512` copies are compiled
+        // with. Audited exception to the workspace `unsafe_code` deny.
+        #[allow(unsafe_code)]
+        let out = unsafe {
+            $copy(
                 #[inline(always)]
                 || $body,
-            ),
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => {
-                // SAFETY: `Isa::Avx2` is built only by `Isa::detect`, after
-                // `is_x86_feature_detected!("avx2")` returned true, so this
-                // CPU runs the AVX2 instructions `avx2` is compiled with.
-                // Audited exception to the workspace `unsafe_code` deny.
-                #[allow(unsafe_code)]
-                let out = unsafe {
-                    avx2(
-                        #[inline(always)]
-                        || $body,
-                    )
-                };
-                out
-            }
-        }
+            )
+        };
+        out
     }};
 }
 
-/// The instruction set an evaluator's kernels run at (see [`at_isa!`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
+/// The instruction set an evaluator's kernels run at (see `at_isa!`),
+/// ordered from the baseline up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Isa {
     /// The build target's baseline instructions.
     Portable,
-    /// The same kernels compiled with `avx2` enabled. Built only by
-    /// [`Isa::detect`], after the CPU reported AVX2.
+    /// Every kernel compiled with `avx2` enabled. An evaluator holds it
+    /// only when [`Isa::detect`] reported it or a higher level.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// The 8-lane batch passes compiled with `avx512f` enabled; every
+    /// other pass runs its [`Isa::Avx2`] copy. An evaluator holds it only
+    /// when [`Isa::detect`] reported it.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Default for Isa {
@@ -905,12 +950,17 @@ impl Default for Isa {
 }
 
 impl Isa {
-    /// [`Isa::Avx2`] when the running CPU has AVX2, otherwise
+    /// The highest level the running CPU has: [`Isa::Avx512`] with AVX2
+    /// and AVX-512F, [`Isa::Avx2`] with AVX2 alone, otherwise
     /// [`Isa::Portable`].
     fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            return Self::Avx2;
+            return if std::arch::is_x86_feature_detected!("avx512f") {
+                Self::Avx512
+            } else {
+                Self::Avx2
+            };
         }
         Self::Portable
     }
@@ -922,12 +972,17 @@ impl TapeEvaluator {
         Self::default()
     }
 
-    /// A fresh evaluator that runs the portable kernels even on a CPU
-    /// with AVX2, for the tests that compare the two instantiations.
+    /// A fresh evaluator that runs its kernels at `isa`, for the tests
+    /// that compare the instantiations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the running CPU does not have `isa`.
     #[cfg(test)]
-    pub(crate) fn portable() -> Self {
+    pub(crate) fn with_isa(isa: Isa) -> Self {
+        assert!(isa <= Isa::detect(), "this CPU cannot run {isa:?}");
         Self {
-            isa: Isa::Portable,
+            isa,
             ..Self::default()
         }
     }
@@ -1364,8 +1419,7 @@ impl TapeEvaluator {
     /// bit-for-bit the scalar [`evaluate`](TapeEvaluator::evaluate) of
     /// that lane's weights (mirroring
     /// [`evaluate_batch`](crate::evaluate_batch()): per-lane zero
-    /// short-circuit as a select, and each block of an AND stops
-    /// multiplying once all its lanes are zero).
+    /// short-circuit as a select).
     pub fn evaluate_batch(&mut self, tape: &AcTape, weights: &AcWeightsBatch) -> &[Complex] {
         let k = weights.lanes();
         if k == 0 {
@@ -1377,7 +1431,7 @@ impl TapeEvaluator {
         self.values_mode = ValuesMode::BatchEvaluate;
         self.values_stamp = tape.stamp;
         at_width!(self, weights, |s, w| {
-            at_isa!(self.isa, s.upward(tape, w, nb));
+            s.upward(tape, w, nb);
             unpack_row(&s.values, tape.root as usize, nb, k, &mut self.root_out);
         });
         &self.root_out
@@ -1426,10 +1480,7 @@ impl TapeEvaluator {
         tape.check_weights(weights.num_slots());
         let nb = weights.blocks_per_row();
         at_width!(self, weights, |s, w| {
-            at_isa!(
-                self.isa,
-                s.delta(tape, w, changed_vars, nb, false, &mut self.queued)
-            );
+            s.delta(tape, w, changed_vars, nb, false, &mut self.queued);
             unpack_row(&s.values, tape.root as usize, nb, k, &mut self.root_out);
         });
         &self.root_out
@@ -1467,10 +1518,10 @@ impl TapeEvaluator {
         self.values_mode = ValuesMode::BatchDiffUpward;
         self.values_stamp = tape.stamp;
         let nb = weights.blocks_per_row();
-        at_width!(self, weights, |s, w| at_isa!(self.isa, {
+        at_width!(self, weights, |s, w| {
             s.upward_full_products(tape, w, nb);
             s.downward_cone(tape, cone, k);
-        }));
+        });
     }
 
     /// [`differentials_cone_batch`](TapeEvaluator::differentials_cone_batch)
@@ -1501,10 +1552,10 @@ impl TapeEvaluator {
         tape.check_weights(weights.num_slots());
         self.partial_lanes = k;
         let nb = weights.blocks_per_row();
-        at_width!(self, weights, |s, w| at_isa!(self.isa, {
+        at_width!(self, weights, |s, w| {
             s.delta(tape, w, changed_vars, nb, true, &mut self.queued);
             s.downward_cone(tape, cone, k);
-        }));
+        });
     }
 
     /// The root value of lane `lane` from the most recent batched pass.
@@ -1550,7 +1601,7 @@ impl TapeEvaluator {
         if lane_width(k) == NARROW_WIDTH {
             at_isa!(self.isa, self.narrow.contract(plan, out));
         } else {
-            at_isa!(self.isa, self.wide.contract(plan, out));
+            at_isa!(self.isa, avx512, self.wide.contract(plan, out));
         }
     }
 
@@ -1649,12 +1700,11 @@ struct BatchScratch<const W: usize> {
     values: Vec<LaneBlock<W>>,
     /// Per-slot lane-blocked partials for the cone downward sweep.
     partials: Vec<LaneBlock<W>>,
-    /// Suffix-stash / suffix / accumulator scratch for the cone downward
-    /// sweep and its contraction (`acc` also holds the delta kernels'
-    /// candidate row). `prefix` is sized once per pass from the tape's
-    /// [`AcTape::max_and_arity`].
-    prefix: Vec<LaneBlock<W>>,
-    suffix: Vec<LaneBlock<W>>,
+    /// The cone downward sweep's suffix stash, sized once per pass from
+    /// the tape's [`AcTape::max_and_arity`] (see [`and_partials`]).
+    stash: Vec<LaneBlock<W>>,
+    /// The contraction's accumulator row and the delta kernels'
+    /// candidate row.
     acc: Vec<LaneBlock<W>>,
 }
 
@@ -1694,10 +1744,7 @@ impl<const W: usize> BatchScratch<W> {
                     }
                 }
                 TapeOpKind::And => {
-                    let cs = &tape.edges[op.a as usize..op.b as usize];
-                    for (bi, acc) in out.iter_mut().enumerate() {
-                        *acc = and_block_sc(head, cs, nb, bi);
-                    }
+                    and_row_sc(head, &tape.edges[op.a as usize..op.b as usize], nb, out);
                 }
                 TapeOpKind::Or => {
                     let a = row_of(head, op.a as usize, nb);
@@ -1816,10 +1863,7 @@ impl<const W: usize> BatchScratch<W> {
                         }
                     }
                     TapeOpKind::And => {
-                        let cs = &tape.edges[op.a as usize..op.b as usize];
-                        for (bi, acc) in out.iter_mut().enumerate() {
-                            *acc = and_block_sc(values, cs, nb, bi);
-                        }
+                        and_row_sc(values, &tape.edges[op.a as usize..op.b as usize], nb, out);
                     }
                     TapeOpKind::Or => {
                         let arow = op.a as usize * nb;
@@ -1869,13 +1913,9 @@ impl<const W: usize> BatchScratch<W> {
         // partial lanes never turn nonzero through the multiplies below,
         // so the all-zero row skips fire as they would for a full block.
         masked_ones_row(&mut partials[root_row..root_row + nb], k);
-        self.suffix.clear();
-        self.suffix.resize(nb, LaneBlock::ONE);
-        self.acc.clear();
-        self.acc.resize(nb, LaneBlock::ONE);
-        let stash = tape.max_and_arity as usize * nb;
-        if self.prefix.len() < stash {
-            self.prefix.resize(stash, LaneBlock::ZERO);
+        let stash = tape.max_and_arity as usize * 2;
+        if self.stash.len() < stash {
+            self.stash.resize(stash, LaneBlock::ZERO);
         }
         let slots = &cone.slots;
         for idx in (0..slots.len()).rev() {
@@ -1948,15 +1988,6 @@ impl<const W: usize> BatchScratch<W> {
                     }
                 }
                 TapeOpKind::And => {
-                    // Same multiplication sequence as the reference sweep,
-                    // restructured for memory behavior. A backward scan
-                    // stashes the running suffix at every child position
-                    // (the one scattered read per child row); a forward
-                    // scan then carries pq = p·(prefix product) in `acc`
-                    // and pushes `pq · suffix[ci]` — a single multiply per
-                    // member lane — re-reading the child rows while they
-                    // are still cache-hot. One arity×nb stash instead of
-                    // two — the sweep is bandwidth-bound on these.
                     // Contributions land in `head` (slots below `row`), so
                     // `p_row` cannot change mid-slot, and the adds are
                     // branchless like the And2 arm (zero-`p` adds are
@@ -1966,31 +1997,16 @@ impl<const W: usize> BatchScratch<W> {
                     if p_row.iter().all(LaneBlock::all_zero) {
                         continue;
                     }
-                    let cs: &[TapeId] = &tape.edges[op.a as usize..op.b as usize];
-                    // The suffix accumulates over every child (the product
-                    // sequence must match the full sweep's); only the adds
-                    // into non-cone children are skipped — they can never
-                    // flow back into a cone slot.
-                    self.suffix.fill(LaneBlock::ONE);
-                    for (ci, &c) in cs.iter().enumerate().rev() {
-                        self.prefix[ci * nb..ci * nb + nb].copy_from_slice(&self.suffix);
-                        for (s, v) in self.suffix.iter_mut().zip(row_of(values, c as usize, nb)) {
-                            s.mul_assign(v);
-                        }
+                    let cs = &tape.edges[op.a as usize..op.b as usize];
+                    let (stash, member) = (&mut self.stash, &cone.member);
+                    for bi in (0..nb / 2).map(|pair| 2 * pair) {
+                        let (v, h, p) = (&values[bi..], &mut head[bi..], &p_row[bi..]);
+                        and_partials::<W, 2>(v, h, p, stash, cs, member, nb);
                     }
-                    self.acc.copy_from_slice(p_row);
-                    for (ci, &c) in cs.iter().enumerate() {
-                        let crow = c as usize * nb;
-                        if cone.member[c as usize] {
-                            let out = &mut head[crow..crow + nb];
-                            let suf = &self.prefix[ci * nb..ci * nb + nb];
-                            for ((o, pq), s) in out.iter_mut().zip(self.acc.iter()).zip(suf) {
-                                o.add_mul(pq, s);
-                            }
-                        }
-                        for (a, v) in self.acc.iter_mut().zip(&values[crow..crow + nb]) {
-                            a.mul_assign(v);
-                        }
+                    if nb % 2 == 1 {
+                        let bi = nb - 1;
+                        let (v, h, p) = (&values[bi..], &mut head[bi..], &p_row[bi..]);
+                        and_partials::<W, 1>(v, h, p, stash, cs, member, nb);
                     }
                 }
                 TapeOpKind::Or => {
@@ -2081,26 +2097,93 @@ fn mark_parents(tape: &AcTape, slot: usize, queued: &mut [bool], pending: &mut u
     }
 }
 
-/// Block `bi` of the short-circuited product of the rows of `cs`, held in
-/// a register: it starts at one and stops at its own first all-zero test.
-/// Stopping per block is the whole-row break of the scalar kernel with
-/// less work — `mul_assign_sc` leaves an all-zero block's bits alone, so
-/// multiplying it on could not change them.
+/// The short-circuited product of the rows of `cs` into `out`, two
+/// blocks at a time (a ragged odd block runs alone; see
+/// [`and_blocks_sc`]).
 #[inline(always)]
-fn and_block_sc<const W: usize>(
+fn and_row_sc<const W: usize>(
     values: &[LaneBlock<W>],
     cs: &[TapeId],
     nb: usize,
-    bi: usize,
-) -> LaneBlock<W> {
-    let mut acc = LaneBlock::ONE;
+    out: &mut [LaneBlock<W>],
+) {
+    let mut pairs = out.chunks_exact_mut(2);
+    for (pair, blocks) in (&mut pairs).enumerate() {
+        blocks.copy_from_slice(&and_blocks_sc::<W, 2>(&values[2 * pair..], cs, nb));
+    }
+    if let [last] = pairs.into_remainder() {
+        [*last] = and_blocks_sc::<W, 1>(&values[nb - 1..], cs, nb);
+    }
+}
+
+/// `P` adjacent blocks of the short-circuited product of the rows of
+/// `cs`, `values` starting at the first of them: each child multiplies
+/// into all `P` blocks at once, with the products held in registers from
+/// one to the last child. No block tests for all-zero and none stops
+/// early, so the `P` dependency chains interleave without a branch. The
+/// bits are the scalar kernel's: `mul_assign_sc` keeps every zero lane's
+/// bits, so a lane runs exactly the scalar multiply sequence up to its
+/// break and multiplying it on cannot change it.
+#[inline(always)]
+fn and_blocks_sc<const W: usize, const P: usize>(
+    values: &[LaneBlock<W>],
+    cs: &[TapeId],
+    nb: usize,
+) -> [LaneBlock<W>; P] {
+    let mut acc = [LaneBlock::ONE; P];
     for &c in cs {
-        if acc.all_zero() {
-            break;
+        let at = c as usize * nb;
+        for (a, v) in acc.iter_mut().zip(&values[at..at + P]) {
+            a.mul_assign_sc(v);
         }
-        acc.mul_assign_sc(&values[c as usize * nb + bi]);
     }
     acc
+}
+
+/// `P` adjacent blocks of a product node's step in the cone downward
+/// sweep, `values`, `head` (the partials below the node) and `p` (its
+/// partial row) starting at the first of them. Per lane this is the
+/// reference sweep's multiplication sequence, restructured for memory
+/// behavior with the running products held in registers. A backward
+/// scan stashes the running suffix at every child position (one read of
+/// each child's blocks); a forward scan then carries pq = p·(prefix
+/// product) and adds `pq · suffix` into every cone child's partial (a
+/// single multiply per lane), re-reading the child blocks while they
+/// are still cache-hot. The suffix runs over every child (the product
+/// sequence must match the full sweep's); only the adds into non-cone
+/// children are skipped, since those can never flow back into a cone
+/// slot.
+#[inline(always)]
+fn and_partials<const W: usize, const P: usize>(
+    values: &[LaneBlock<W>],
+    head: &mut [LaneBlock<W>],
+    p: &[LaneBlock<W>],
+    stash: &mut [LaneBlock<W>],
+    cs: &[TapeId],
+    member: &[bool],
+    nb: usize,
+) {
+    let mut suffix = [LaneBlock::ONE; P];
+    for (ci, &c) in cs.iter().enumerate().rev() {
+        let at = c as usize * nb;
+        stash[ci * P..ci * P + P].copy_from_slice(&suffix);
+        for (s, v) in suffix.iter_mut().zip(&values[at..at + P]) {
+            s.mul_assign(v);
+        }
+    }
+    let mut pq: [LaneBlock<W>; P] = std::array::from_fn(|j| p[j]);
+    for (ci, &c) in cs.iter().enumerate() {
+        let at = c as usize * nb;
+        if member[c as usize] {
+            let suf = &stash[ci * P..ci * P + P];
+            for ((o, q), s) in head[at..at + P].iter_mut().zip(&pq).zip(suf) {
+                o.add_mul(q, s);
+            }
+        }
+        for (q, v) in pq.iter_mut().zip(&values[at..at + P]) {
+            q.mul_assign(v);
+        }
+    }
 }
 
 /// Lane `lane` of the `k`-lane row `id`.
@@ -3410,15 +3493,30 @@ mod tests {
     }
 
     /// Lane counts of the instantiation tests: both sides of the narrow
-    /// block, full and ragged wide blocks.
-    const ISA_LANES: [usize; 7] = [1, 3, 4, 5, 8, 9, 19];
+    /// block, a full 8-lane block, a full block pair (the product's pair
+    /// path with no ragged block) and ragged 8-lane blocks.
+    const ISA_LANES: [usize; 8] = [1, 3, 4, 5, 8, 9, 16, 19];
 
-    /// Says so when this CPU has no AVX2: both evaluators of an
-    /// instantiation test then run the portable kernels.
-    fn note_if_portable_only() {
-        if TapeEvaluator::new().isa == Isa::Portable {
-            println!("no AVX2 on this CPU: compared only the portable kernels");
-        }
+    /// The instruction sets this CPU has, baseline first: the levels an
+    /// instantiation test compares, printed so a run shows them
+    /// (`--nocapture`).
+    fn isa_levels() -> Vec<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        let all = [Isa::Portable, Isa::Avx2, Isa::Avx512];
+        #[cfg(not(target_arch = "x86_64"))]
+        let all = [Isa::Portable];
+        let top = Isa::detect();
+        let levels: Vec<Isa> = all.into_iter().filter(|&l| l <= top).collect();
+        println!("compared instruction sets: {levels:?}");
+        levels
+    }
+
+    /// One fresh evaluator per level.
+    fn evaluators_at(levels: &[Isa]) -> Vec<TapeEvaluator> {
+        levels
+            .iter()
+            .map(|&isa| TapeEvaluator::with_isa(isa))
+            .collect()
     }
 
     /// A weight for the instantiation tests: random, or a zero of either
@@ -3480,10 +3578,11 @@ mod tests {
 
     #[test]
     fn avx2_and_portable_scalar_kernels_give_the_same_bits() {
-        // The same pass sequence on both instantiations: full, delta and
-        // demand-driven upward passes, full and delta differentials, and
-        // magnitudes, under weights with signed zeros and NaN.
-        note_if_portable_only();
+        // The same pass sequence at every instruction set the CPU has:
+        // full, delta and demand-driven upward passes, full and delta
+        // differentials, and magnitudes, under weights with signed zeros
+        // and NaN. Every level must hold the portable kernels' bits.
+        let levels = isa_levels();
         for seed in 0..6u64 {
             let tape = isa_tape(seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x15A);
@@ -3491,7 +3590,7 @@ mod tests {
             for v in 1..=8 {
                 set_edge(&mut w, v, &mut rng);
             }
-            let (mut fast, mut port) = (TapeEvaluator::new(), TapeEvaluator::portable());
+            let mut evals = evaluators_at(&levels);
             for step in 0..60 {
                 let mut changed = vec![1 + rng.gen_range(0..8) as u32];
                 if rng.gen::<bool>() {
@@ -3500,30 +3599,26 @@ mod tests {
                 for &v in &changed {
                     set_edge(&mut w, v, &mut rng);
                 }
-                let (a, b) = match step % 6 {
-                    0 => (fast.evaluate(&tape, &w), port.evaluate(&tape, &w)),
-                    1 | 2 => (
-                        fast.evaluate_delta(&tape, &w, &changed),
-                        port.evaluate_delta(&tape, &w, &changed),
-                    ),
-                    3 => (fast.differentials(&tape, &w), port.differentials(&tape, &w)),
-                    4 => (
-                        fast.differentials_delta(&tape, &w, &changed),
-                        port.differentials_delta(&tape, &w, &changed),
-                    ),
-                    _ => (
-                        fast.evaluate_demand(&tape, &w),
-                        port.evaluate_demand(&tape, &w),
-                    ),
-                };
-                let what = format!("seed {seed} step {step}");
-                assert!(bits_eq(a, b), "{what}: root {a:?} vs {b:?}");
-                let (ma, mb) = (
-                    fast.model_magnitudes(&tape, &w),
-                    port.model_magnitudes(&tape, &w),
-                );
-                assert_eq!(ma.to_bits(), mb.to_bits(), "{what}: root magnitude");
-                assert_same_buffers(&fast, &port, &what);
+                let roots: Vec<(Complex, f64)> = evals
+                    .iter_mut()
+                    .map(|e| {
+                        let root = match step % 6 {
+                            0 => e.evaluate(&tape, &w),
+                            1 | 2 => e.evaluate_delta(&tape, &w, &changed),
+                            3 => e.differentials(&tape, &w),
+                            4 => e.differentials_delta(&tape, &w, &changed),
+                            _ => e.evaluate_demand(&tape, &w),
+                        };
+                        (root, e.model_magnitudes(&tape, &w))
+                    })
+                    .collect();
+                let (want, want_mag) = roots[0];
+                for ((e, &(root, mag)), isa) in evals.iter().zip(&roots).zip(&levels).skip(1) {
+                    let what = format!("{isa:?} seed {seed} step {step}");
+                    assert!(bits_eq(root, want), "{what}: root {root:?} vs {want:?}");
+                    assert_eq!(mag.to_bits(), want_mag.to_bits(), "{what}: root magnitude");
+                    assert_same_buffers(e, &evals[0], &what);
+                }
             }
         }
     }
@@ -3531,9 +3626,10 @@ mod tests {
     #[test]
     fn avx2_and_portable_batch_kernels_give_the_same_bits() {
         // Full and delta batch passes, cone-restricted differentials and
-        // their contraction, on both instantiations, at lane counts on
-        // both sides of the 4-lane block and with ragged 8-lane blocks.
-        note_if_portable_only();
+        // their contraction, at every instruction set the CPU has, at
+        // lane counts on both sides of the 4-lane block, a full pair of
+        // 8-lane blocks and ragged 8-lane blocks.
+        let levels = isa_levels();
         for k in ISA_LANES {
             for seed in 0..3u64 {
                 let tape = isa_tape(seed);
@@ -3549,7 +3645,7 @@ mod tests {
                     .collect();
                 let plan = TangentPlan::new(&tape, &random_tangents(8, &mut rng));
                 let cone = DiffCone::new(&tape, plan.slots());
-                let (mut fast, mut port) = (TapeEvaluator::new(), TapeEvaluator::portable());
+                let mut evals = evaluators_at(&levels);
                 for step in 0..24 {
                     let v = 1 + rng.gen_range(0..8) as u32;
                     if rng.gen::<bool>() {
@@ -3568,39 +3664,33 @@ mod tests {
                         }
                     }
                     let batch = batch_of(&lanes);
-                    let what = format!("k={k} seed {seed} step {step}");
-                    let (a, b) = match step % 4 {
-                        0 => (
-                            fast.evaluate_batch(&tape, &batch).to_vec(),
-                            port.evaluate_batch(&tape, &batch).to_vec(),
-                        ),
-                        1 => (
-                            fast.evaluate_batch_delta(&tape, &batch, &[v]).to_vec(),
-                            port.evaluate_batch_delta(&tape, &batch, &[v]).to_vec(),
-                        ),
-                        _ => {
-                            if step % 4 == 2 {
-                                fast.differentials_cone_batch(&tape, &batch, &cone);
-                                port.differentials_cone_batch(&tape, &batch, &cone);
-                            } else {
-                                fast.differentials_cone_batch_delta(&tape, &batch, &[v], &cone);
-                                port.differentials_cone_batch_delta(&tape, &batch, &[v], &cone);
+                    let outs: Vec<Vec<Complex>> = evals
+                        .iter_mut()
+                        .map(|e| match step % 4 {
+                            0 => e.evaluate_batch(&tape, &batch).to_vec(),
+                            1 => e.evaluate_batch_delta(&tape, &batch, &[v]).to_vec(),
+                            phase => {
+                                if phase == 2 {
+                                    e.differentials_cone_batch(&tape, &batch, &cone);
+                                } else {
+                                    e.differentials_cone_batch_delta(&tape, &batch, &[v], &cone);
+                                }
+                                let mut out = vec![C_ZERO; k];
+                                e.contract_tangent_broadcast(&plan, &mut out);
+                                out
                             }
-                            let (mut ca, mut cb) = (vec![C_ZERO; k], vec![C_ZERO; k]);
-                            fast.contract_tangent_broadcast(&plan, &mut ca);
-                            port.contract_tangent_broadcast(&plan, &mut cb);
-                            (ca, cb)
+                        })
+                        .collect();
+                    assert_eq!(outs[0].len(), k, "k={k} seed {seed} step {step}");
+                    let port = &evals[0];
+                    for ((e, out), isa) in evals.iter().zip(&outs).zip(&levels).skip(1) {
+                        let what = format!("{isa:?} k={k} seed {seed} step {step}");
+                        for (l, (&x, &y)) in out.iter().zip(&outs[0]).enumerate() {
+                            assert!(bits_eq(x, y), "{what} lane {l}: {x:?} vs {y:?}");
+                            assert!(bits_eq(e.value_lane(&tape, l), port.value_lane(&tape, l)));
                         }
-                    };
-                    assert_eq!(a.len(), k, "{what}");
-                    for (l, (&x, &y)) in a.iter().zip(&b).enumerate() {
-                        assert!(bits_eq(x, y), "{what} lane {l}: {x:?} vs {y:?}");
-                        assert!(bits_eq(
-                            fast.value_lane(&tape, l),
-                            port.value_lane(&tape, l)
-                        ));
+                        assert_same_buffers(e, port, &what);
                     }
-                    assert_same_buffers(&fast, &port, &what);
                 }
             }
         }
@@ -3611,8 +3701,9 @@ mod tests {
         // Five query variables over random CNFs whose other three
         // variables carry complex weights: every chain transition (model
         // sampling, full and delta differentials, demand-driven MH
-        // proposals) must draw the same state on both instantiations.
-        note_if_portable_only();
+        // proposals) must draw the same state at every instruction set
+        // the CPU has.
+        let levels = isa_levels();
         let mut satisfiable = 0;
         for seed in 0..8u64 {
             let tape = isa_tape(seed);
@@ -3638,19 +3729,169 @@ mod tests {
                 seed,
                 mh_restart_prob: 0.2,
             };
-            let mut fast = GibbsSampler::new(&tape, base.clone(), vars.clone(), &options);
-            let mut port = GibbsSampler::new_portable(&tape, base, vars, &options);
+            let mut chains: Vec<GibbsSampler> = levels
+                .iter()
+                .map(|&isa| {
+                    GibbsSampler::with_isa(&tape, base.clone(), vars.clone(), &options, isa)
+                })
+                .collect();
             for step in 0..300 {
-                assert_eq!(fast.state(), port.state(), "seed {seed} step {step}");
-                fast.step();
-                port.step();
+                for (chain, isa) in chains.iter().zip(&levels).skip(1) {
+                    assert_eq!(
+                        chain.state(),
+                        chains[0].state(),
+                        "{isa:?} seed {seed} step {step}"
+                    );
+                }
+                for chain in &mut chains {
+                    chain.step();
+                }
             }
-            assert_eq!(fast.counts(), port.counts(), "seed {seed}");
-            let (a, b) = (fast.current_amplitude(), port.current_amplitude());
-            assert!(bits_eq(a, b), "seed {seed}: {a:?} vs {b:?}");
-            satisfiable += usize::from(a != C_ZERO);
+            let amplitudes: Vec<Complex> = chains
+                .iter_mut()
+                .map(GibbsSampler::current_amplitude)
+                .collect();
+            for ((chain, &a), isa) in chains.iter().zip(&amplitudes).zip(&levels).skip(1) {
+                assert_eq!(chain.counts(), chains[0].counts(), "{isa:?} seed {seed}");
+                let b = amplitudes[0];
+                assert!(bits_eq(a, b), "{isa:?} seed {seed}: {a:?} vs {b:?}");
+            }
+            satisfiable += usize::from(amplitudes[0] != C_ZERO);
         }
         assert!(satisfiable > 0, "no chain ran on a satisfiable circuit");
+    }
+
+    /// Weights of the wide-product test's `case` for `k` lanes over
+    /// `x1..x10`: random live weights, whole 8-lane blocks of a product
+    /// zeroed at chosen children, and single zero lanes of either sign.
+    fn wide_and_case(case: usize, k: usize) -> Vec<AcWeights> {
+        const ZEROS: [Complex; 4] = [
+            C_ZERO,
+            Complex::new(-0.0, 0.0),
+            Complex::new(0.0, -0.0),
+            Complex::new(-0.0, -0.0),
+        ];
+        // (block, positive product?, child variable) zeroing that block
+        // of that product at that child.
+        let blocks: &[(usize, bool, u32)] = match case {
+            // A pair's first block dies at the first child while its
+            // partner stays live, and the other product's second block
+            // dies at its last child.
+            0 => &[(0, true, 1), (1, false, 10)],
+            // Middle and last children, the ragged third block at a
+            // middle one, and the second block at the first child of
+            // the other product.
+            1 => &[(0, true, 5), (1, true, 10), (2, true, 6), (1, false, 1)],
+            // Single zero lanes only.
+            _ => &[],
+        };
+        (0..k)
+            .map(|l| {
+                let mut rng = StdRng::seed_from_u64(((case as u64) << 8) | l as u64);
+                let mut w = AcWeights::uniform(10);
+                for v in 1..=10u32 {
+                    w.set(
+                        v,
+                        Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
+                        Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
+                    );
+                }
+                for &(block, positive, v) in blocks {
+                    if l / LANE_WIDTH == block {
+                        let zero = ZEROS[l % ZEROS.len()];
+                        let other = w.get(if positive { -(v as Lit) } else { v as Lit });
+                        if positive {
+                            w.set(v, zero, other);
+                        } else {
+                            w.set(v, other, zero);
+                        }
+                    }
+                }
+                if (l + case).is_multiple_of(3) {
+                    let v = 1 + ((3 * l + case) % 10) as u32;
+                    let zero = ZEROS[(l + case) % ZEROS.len()];
+                    let (pos, neg) = (w.get(v as Lit), w.get(-(v as Lit)));
+                    if l % 2 == 0 {
+                        w.set(v, zero, neg);
+                    } else {
+                        w.set(v, pos, zero);
+                    }
+                }
+                w
+            })
+            .collect()
+    }
+
+    #[test]
+    fn wide_and_products_match_references_at_every_isa() {
+        // Two ten-child products, over x1..x10 and over ¬x1..¬x10, under
+        // an OR. Moving one variable at a time between the weights of
+        // `wide_and_case` turns product blocks all-zero at the first, a
+        // middle and the last child, zeroes one block of a pair while its
+        // partner stays live, and mixes in zero lanes of both signs. At
+        // every instruction set the CPU has, the full and the delta batch
+        // passes must match the enum-walk batch pass and the scalar pass
+        // bit for bit.
+        let mut b = NnfBuilder::new();
+        let pos: Vec<crate::NnfId> = (1..=10).map(|v| b.lit(v)).collect();
+        let neg: Vec<crate::NnfId> = (1..=10).map(|v| b.lit(-v)).collect();
+        let (p, q) = (b.and(pos), b.and(neg));
+        let root = b.or(p, q);
+        let nnf = b.extract(root);
+        let tape = AcTape::lower(&nnf);
+        assert_eq!(tape.max_and_arity(), 10);
+        let products: Vec<usize> = (0..tape.num_ops())
+            .filter(|&i| tape.ops()[i].kind == TapeOpKind::And)
+            .collect();
+        let mut scalar = TapeEvaluator::new();
+        let mut split_pairs = 0usize;
+        for isa in isa_levels() {
+            for k in [4, LANE_WIDTH, 2 * LANE_WIDTH, 2 * LANE_WIDTH + 3] {
+                let (mut full, mut delta) =
+                    (TapeEvaluator::with_isa(isa), TapeEvaluator::with_isa(isa));
+                let mut lanes = wide_and_case(0, k);
+                // A fresh evaluator's first delta call is a full pass.
+                delta.evaluate_batch_delta(&tape, &batch_of(&lanes), &[]);
+                for (step, case) in [1, 2, 0, 2, 1, 0].into_iter().enumerate() {
+                    let target = wide_and_case(case, k);
+                    for v in 1..=10u32 {
+                        for (w, t) in lanes.iter_mut().zip(&target) {
+                            w.set(v, t.get(v as Lit), t.get(-(v as Lit)));
+                        }
+                        let batch = batch_of(&lanes);
+                        let what = format!("{isa:?} k={k} step {step} x{v}");
+                        let want = crate::evaluate_batch(&nnf, &batch);
+                        let got_full = full.evaluate_batch(&tape, &batch).to_vec();
+                        let got_delta = delta.evaluate_batch_delta(&tape, &batch, &[v]).to_vec();
+                        for (l, w) in lanes.iter().enumerate() {
+                            let s = scalar.evaluate(&tape, w);
+                            assert!(bits_eq(want[l], s), "{what} lane {l}: enum batch vs scalar");
+                            assert!(
+                                bits_eq(got_full[l], s),
+                                "{what} lane {l}: full {:?} vs {s:?}",
+                                got_full[l]
+                            );
+                            assert!(
+                                bits_eq(got_delta[l], s),
+                                "{what} lane {l}: delta {:?} vs {s:?}",
+                                got_delta[l]
+                            );
+                        }
+                        if k == 2 * LANE_WIDTH {
+                            for &slot in &products {
+                                let pair = &full.wide.values[2 * slot..2 * slot + 2];
+                                split_pairs +=
+                                    usize::from(pair[0].all_zero() != pair[1].all_zero());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            split_pairs > 0,
+            "no product had one all-zero block beside a live one"
+        );
     }
 
     #[test]

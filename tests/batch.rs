@@ -14,10 +14,11 @@ use qkc::math::Complex;
 /// Batch widths straddling the lane-block boundaries of the blocked
 /// layout: a lone lane; one short of, exactly, and one past a narrow
 /// 4-lane block (where the block width switches to 8); one short of a
-/// wide block, exactly one, one into the second, and a ragged three-block
-/// batch. Every width must be bit-for-bit the scalar path — dead
-/// remainder lanes change nothing.
-const RAGGED_WIDTHS: [usize; 8] = [
+/// wide block, exactly one, one into the second, exactly two (a product
+/// multiplies a pair of blocks at once, here with no ragged block), and a
+/// ragged three-block batch. Every width must be bit-for-bit the scalar
+/// path — dead remainder lanes change nothing.
+const RAGGED_WIDTHS: [usize; 9] = [
     1,
     NARROW_WIDTH - 1,
     NARROW_WIDTH,
@@ -25,6 +26,7 @@ const RAGGED_WIDTHS: [usize; 8] = [
     LANE_WIDTH - 1,
     LANE_WIDTH,
     LANE_WIDTH + 1,
+    2 * LANE_WIDTH,
     2 * LANE_WIDTH + 3,
 ];
 
