@@ -27,7 +27,7 @@ use std::cell::RefCell;
 /// lanes padding the last [`LaneBlock`](qkc_knowledge::LaneBlock) of every
 /// row, at the block width `W` = [`lane_width`]`(k)` the kernels run at.
 /// The snapshot tree turns the pair into a SIMD occupancy percentage, so
-/// ragged batch widths show up in `BENCH_telemetry.jsonl` instead of
+/// ragged batch widths show up in every telemetry snapshot instead of
 /// silently wasting `(W - k % W) % W` of each remainder block.
 pub(crate) fn note_batch_width(k: usize) {
     let w = lane_width(k);

@@ -265,9 +265,9 @@ pub(crate) fn symbol_rules(circuit: &Circuit, wrt: &[String]) -> Vec<SymbolRule>
     rules_from_classes(&symbol_classes(circuit, wrt))
 }
 
-/// The rule-building half of [`symbol_rules`], split out so callers that
-/// cache the classification (the KC backend keys it by circuit structural
-/// hash across sweep points) can skip the circuit scan.
+/// The rule-building half of `symbol_rules`, split out so callers that
+/// cache the classification ([`symbol_classes`]; the KC backend keys it by
+/// circuit structural hash across sweep points) can skip the circuit scan.
 pub(crate) fn rules_from_classes(classes: &[SymbolClass]) -> Vec<SymbolRule> {
     classes
         .iter()

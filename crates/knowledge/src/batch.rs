@@ -218,49 +218,15 @@ pub(crate) fn unpack_row<const W: usize>(
 /// value of every lane, each bit-for-bit equal to the scalar
 /// [`evaluate`](crate::evaluate()) of that lane's weights.
 pub fn evaluate_batch(nnf: &Nnf, weights: &AcWeightsBatch) -> Vec<Complex> {
-    let mut values = LaneRows::default();
-    let mut out = Vec::new();
-    evaluate_batch_into(nnf, weights, &mut values, &mut out);
-    out
-}
-
-/// [`evaluate_batch`] with caller-owned buffers, so hot loops (one AC pass
-/// per basis state) amortize the allocations across calls: `values` holds
-/// the node-major lane blocks (switched to the weights' width when it
-/// differs), `out` receives the `k` root values, and the returned slice
-/// borrows `out`.
-pub fn evaluate_batch_into<'v>(
-    nnf: &Nnf,
-    weights: &AcWeightsBatch,
-    values: &mut LaneRows,
-    out: &'v mut Vec<Complex>,
-) -> &'v [Complex] {
     let k = weights.lanes();
-    out.clear();
     if k == 0 {
-        return &[];
+        return Vec::new();
     }
-    let nb = weights.blocks_per_row();
-    let root = nnf.root() as usize;
-    match (weights.rows(), &mut *values) {
-        (LaneRows::Narrow(w), LaneRows::Narrow(v)) => upward_pass(nnf, w, v, nb, root, k, out),
-        (LaneRows::Wide(w), LaneRows::Wide(v)) => upward_pass(nnf, w, v, nb, root, k, out),
-        (LaneRows::Narrow(w), other) => {
-            let mut v = Vec::new();
-            upward_pass(nnf, w, &mut v, nb, root, k, out);
-            *other = LaneRows::Narrow(v);
-        }
-        (LaneRows::Wide(w), other) => {
-            let mut v = Vec::new();
-            upward_pass(nnf, w, &mut v, nb, root, k, out);
-            *other = LaneRows::Wide(v);
-        }
-    }
-    out
+    with_rows!(weights.rows(), w => upward_pass(nnf, w, weights.blocks_per_row(), k))
 }
 
-/// The evaluation upward pass: fills `values` (node-major, `nb` blocks per
-/// node) and unpacks the root's `k` lanes into `out`. Each block update is
+/// The evaluation upward pass: fills the node-major value rows (`nb`
+/// blocks per node) and returns the root's `k` lanes. Each block update is
 /// a fixed-width split-plane loop, so there is one vectorized body per
 /// width for every lane count — ragged batches ride the masked remainder
 /// block instead of a hand-monomorphized `k`. (The differentials pass runs
@@ -269,15 +235,10 @@ pub fn evaluate_batch_into<'v>(
 fn upward_pass<const W: usize>(
     nnf: &Nnf,
     weights: &[LaneBlock<W>],
-    values: &mut Vec<LaneBlock<W>>,
     nb: usize,
-    root: usize,
     k: usize,
-    roots: &mut Vec<Complex>,
-) {
-    // Every node row is written by the pass (False rows are filled with
-    // zeros explicitly), so a resize without re-zeroing is sound.
-    values.resize(nnf.num_nodes() * nb, LaneBlock::ZERO);
+) -> Vec<Complex> {
+    let mut values = vec![LaneBlock::ZERO; nnf.num_nodes() * nb];
     for (i, node) in nnf.nodes().iter().enumerate() {
         let row = i * nb;
         // Children precede parents, so splitting at `row` always puts every
@@ -316,7 +277,9 @@ fn upward_pass<const W: usize>(
             }
         }
     }
-    unpack_row(values, root, nb, k, roots);
+    let mut roots = Vec::with_capacity(k);
+    unpack_row(&values, nnf.root() as usize, nb, k, &mut roots);
+    roots
 }
 
 #[cfg(test)]

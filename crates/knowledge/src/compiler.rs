@@ -76,8 +76,7 @@ pub struct CompileOptions {
     /// Enable component caching (disable only for ablation benchmarks).
     pub cache: bool,
     /// Bisection split fraction for [`VarOrder::MinCutSeparator`] (see
-    /// [`compute_ranks_balanced`](crate::compute_ranks_balanced)); `0.5`
-    /// is the balanced default.
+    /// [`compute_ranks_balanced`]); `0.5` is the balanced default.
     pub separator_balance: f64,
 }
 

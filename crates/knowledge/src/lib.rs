@@ -7,7 +7,7 @@
 //! caching ([`compile`]); post-processed by internal-state elision
 //! ([`project_out`]) and query-variable smoothing ([`smooth`]); and then
 //! evaluated repeatedly as an *arithmetic circuit*: upward for amplitudes
-//! ([`evaluate`]), upward+downward for all single-flip amplitudes at once
+//! ([`evaluate()`]), upward+downward for all single-flip amplitudes at once
 //! ([`evaluate_with_differentials`]), which drives the [`GibbsSampler`].
 //! Parameter sweeps amortize the traversal itself: [`evaluate_batch`]
 //! decodes each node once and updates `k` weight lanes ([`AcWeightsBatch`])
@@ -52,7 +52,7 @@ mod tape;
 mod transform;
 mod verify;
 
-pub use batch::{evaluate_batch, evaluate_batch_into, AcWeightsBatch};
+pub use batch::{evaluate_batch, AcWeightsBatch};
 pub use compiler::{compile, CompileOptions, CompileStats, Compiled};
 pub use evaluate::{evaluate, evaluate_with_differentials, AcWeights, Differentials};
 pub use gibbs::{GibbsCounts, GibbsOptions, GibbsSampler, QueryVar};

@@ -2790,8 +2790,8 @@ mod tests {
     fn batch_delta_matches_full_batch_and_scalar_bit_for_bit() {
         // Random sequences of shared-evidence and per-lane weight updates:
         // the delta-aware batch kernel must stay bitwise equal to a full
-        // batched pass on a fresh evaluator — and, lane by lane, to the
-        // scalar evaluator.
+        // batched pass on a fresh evaluator, to the enum-walk batch
+        // reference — and, lane by lane, to the scalar evaluator.
         let nnf = test_nnf();
         let tape = AcTape::lower(&nnf);
         let mut rng = StdRng::seed_from_u64(59);
@@ -2852,10 +2852,15 @@ mod tests {
                     .evaluate_batch_delta(&tape, &batch, &[v])
                     .to_vec();
                 let want = full_eval.evaluate_batch(&tape, &batch).to_vec();
+                let reference = crate::evaluate_batch(&nnf, &batch);
                 for (lane, (&g, &w)) in got.iter().zip(&want).enumerate() {
                     assert!(
                         bits_eq(g, w),
                         "k={k} step {step} lane {lane} (vs full batch)"
+                    );
+                    assert!(
+                        bits_eq(g, reference[lane]),
+                        "k={k} step {step} lane {lane} (vs enum-walk batch)"
                     );
                     let scalar = scalar_eval.evaluate(&tape, &lanes[lane]);
                     assert!(

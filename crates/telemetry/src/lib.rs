@@ -14,8 +14,7 @@
 //! `fetch_add`s behind a short registry lookup. Nothing on either path
 //! touches the numerical code, so results stay byte-identical with
 //! telemetry on or off (`tests/telemetry.rs` asserts this across thread
-//! counts and batch widths, and `sweep_throughput` gates the disabled-path
-//! overhead at 2%).
+//! counts and batch widths, and that a disabled engine records nothing).
 //!
 //! # Phase paths
 //!

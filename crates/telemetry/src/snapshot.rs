@@ -213,8 +213,8 @@ impl Snapshot {
         out
     }
 
-    /// Serializes the snapshot as one JSON object on one line — the same
-    /// appendable spirit as the `BENCH_*.json` files.
+    /// Serializes the snapshot as one JSON object on one line, so
+    /// snapshots append to a JSONL file as a trajectory.
     pub fn to_json_line(&self) -> String {
         let unix_time = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)

@@ -171,6 +171,32 @@ fn same_structure_different_params_compiles_once() {
     }
     assert_eq!(engine.cache().misses(), 1, "one structure, one compile");
     assert_eq!(engine.cache().hits(), 19);
+
+    // A sweep after the first query rides that compile too, on one worker
+    // or fanned out over eight.
+    let points: Vec<ParamMap> = (0..64)
+        .map(|i| ParamMap::from_pairs([("theta", 0.3 + 0.001 * i as f64)]))
+        .collect();
+    let obs = |bits: usize| bits as f64;
+    for threads in [1usize, 8] {
+        let engine = Engine::with_options(EngineOptions::default().with_threads(threads));
+        engine
+            .expectation(&noisy_rx(), &points[0], &obs, 0, 1)
+            .unwrap();
+        let swept = engine
+            .sweep(
+                &noisy_rx(),
+                &points,
+                &SweepSpec::expectation(&obs).with_seed(1),
+            )
+            .unwrap();
+        assert_eq!(swept.len(), points.len());
+        assert_eq!(
+            engine.cache().misses(),
+            1,
+            "threads={threads}: a sweep must not recompile"
+        );
+    }
 }
 
 #[test]

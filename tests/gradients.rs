@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use qkc::circuit::{Circuit, Param, ParamMap};
 use qkc::engine::{
     ArtifactCache, Backend, BackendKind, Engine, EngineOptions, GradientMethod, GradientOptimizer,
-    GradientSpec, KcBackend, VariationalConfig, VariationalGradientConfig,
+    GradientSpec, KcBackend, VariationalConfig, VariationalGradientConfig, FD_STEP,
 };
 use qkc::kc::KcOptions;
 use qkc::optim::{Adam, NelderMead, Spsa};
@@ -73,15 +73,16 @@ fn build(n: usize, instrs: &[Instr], noisy: bool) -> Circuit {
     c
 }
 
-/// Central-difference reference gradient from exact engine expectations.
+/// Central-difference reference gradient (step `h`) from exact engine
+/// expectations.
 fn fd_reference(
     engine: &Engine,
     circuit: &Circuit,
     params: &ParamMap,
     obs: &(dyn Fn(usize) -> f64 + Sync),
     wrt: &[String],
+    h: f64,
 ) -> Vec<f64> {
-    let h = 1e-5;
     wrt.iter()
         .map(|s| match params.get(s) {
             None => 0.0,
@@ -146,7 +147,7 @@ proptest! {
                 );
             }
         }
-        let fd = fd_reference(&engine, &circuit, &params, &obs, &wrt);
+        let fd = fd_reference(&engine, &circuit, &params, &obs, &wrt, 1e-5);
         for (i, (an, fd)) in r.gradient.iter().zip(&fd).enumerate() {
             prop_assert!(
                 (an - fd).abs() < 1e-4,
@@ -186,7 +187,7 @@ proptest! {
                 );
             }
         }
-        let fd = fd_reference(&engine, &circuit, &params, &obs, &wrt);
+        let fd = fd_reference(&engine, &circuit, &params, &obs, &wrt, 1e-5);
         for (i, (an, fd)) in r.gradient.iter().zip(&fd).enumerate() {
             prop_assert!(
                 (an - fd).abs() < 1e-4,
@@ -280,6 +281,66 @@ fn shared_symbol_across_all_edges_matches_shift_rule() {
             "{}: analytic {an} vs shift {ps}",
             wrt[i]
         );
+    }
+}
+
+/// Depth-2 multi-angle QAOA on a 6-qubit 3-regular graph: every edge and
+/// every vertex gets its own angle in every layer, 30 unique symbols. Its
+/// 64 basis states take two 32-lane cone passes, the second on the delta
+/// kernel, and the one-pass analytic gradient still matches the
+/// parameter-shift rule (2p + 1 lanes) and central differences at the
+/// engine's own finite-difference step.
+#[test]
+fn multi_angle_qaoa_gradient_over_two_cone_passes_matches_references() {
+    let n = 6;
+    let graph = Graph::random_regular(n, 3, 3);
+    let mut c = Circuit::new(n);
+    for q in 0..n {
+        c.h(q);
+    }
+    let mut params = ParamMap::new();
+    for layer in 0..2 {
+        for (e, &(a, b)) in graph.edges().iter().enumerate() {
+            let g = format!("g{layer}_{e}");
+            c.zz(a, b, Param::symbol(g.clone()));
+            params.bind(g, 0.45 + 0.01 * e as f64 + 0.07 * layer as f64);
+        }
+        for q in 0..n {
+            let b = format!("b{layer}_{q}");
+            c.rx(q, Param::symbol(b.clone()));
+            params.bind(b, 0.25 + 0.01 * q as f64 + 0.05 * layer as f64);
+        }
+    }
+    let obs = |bits: usize| bits.count_ones() as f64;
+    let wrt: Vec<String> = c.symbols().into_iter().collect();
+    assert_eq!(wrt.len(), 30);
+    let engine = Engine::new();
+    let r = engine.gradient(&c, &params, &obs, None).unwrap();
+    assert_eq!(r.method, GradientMethod::Analytic);
+    assert!(r.exact, "KC analytic gradients are exact");
+    assert_eq!(r.evaluations, 1, "one pass for all {} symbols", wrt.len());
+    let s = shift_backend()
+        .expectation_gradient(&c, &params, &obs, &wrt)
+        .unwrap();
+    assert_eq!(
+        s.evaluations,
+        2 * wrt.len() + 1,
+        "unique symbols: 2p + 1 lanes"
+    );
+    assert!((r.value - s.value).abs() < 1e-9);
+    assert_eq!(r.gradient.len(), s.gradient.len());
+    for (i, (an, ps)) in r.gradient.iter().zip(&s.gradient).enumerate() {
+        assert!(
+            (an - ps).abs() < 1e-9,
+            "{}: analytic {an} vs shift {ps}",
+            wrt[i]
+        );
+    }
+    let value = engine.expectation(&c, &params, &obs, 0, 1).unwrap();
+    assert!((value - s.value).abs() < 1e-9);
+    let fd = fd_reference(&engine, &c, &params, &obs, &wrt, FD_STEP);
+    for (i, (fd, ps)) in fd.iter().zip(&s.gradient).enumerate() {
+        assert!((fd - ps).abs() < 1e-4, "{}: fd {fd} vs shift {ps}", wrt[i]);
     }
 }
 

@@ -137,6 +137,64 @@ fn enabling_telemetry_never_changes_gradients() {
     }
 }
 
+/// A disabled engine records nothing, even on its busiest cache path: a
+/// 1-byte budget evicts every artifact right after it lands, so each
+/// query after the first compile rehydrates from the spill directory.
+#[test]
+fn a_disabled_engine_records_nothing() {
+    use qkc::engine::CacheOptions;
+    use qkc::workloads::{Graph, QaoaMaxCut};
+
+    let _guard = lock();
+    let _flag = FlagGuard::set(false);
+    let dir = std::env::temp_dir().join(format!("qkc-telemetry-off-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let engine = Engine::with_options(
+        EngineOptions::default()
+            .with_backend(BackendKind::KnowledgeCompilation)
+            .with_threads(2)
+            .with_cache(
+                CacheOptions::default()
+                    .with_max_resident_bytes(1)
+                    .with_spill_dir(&dir),
+            ),
+    );
+    let qaoa = QaoaMaxCut::new(Graph::random_regular(6, 3, 3), 1);
+    let circuit = qaoa.circuit();
+    let obs = qaoa.cut_observable();
+    let params: Vec<ParamMap> = (0..32)
+        .map(|i| qaoa.params(&[0.3 + 0.002 * i as f64], &[0.25 + 0.001 * i as f64]))
+        .collect();
+
+    let before = telemetry::snapshot();
+    let points = engine
+        .sweep(
+            &circuit,
+            &params,
+            &SweepSpec::expectation(&obs).with_seed(1),
+        )
+        .expect("sweep");
+    engine
+        .gradient(&circuit, &params[0], &obs, None)
+        .expect("gradient");
+    engine.sample(&circuit, &params[1], 64, 3).expect("sample");
+    assert_eq!(
+        telemetry::snapshot(),
+        before,
+        "disabled telemetry recorded something"
+    );
+
+    assert_eq!(points.len(), params.len());
+    let stats = engine.cache().stats();
+    assert_eq!(stats.misses, 1, "the spill tier absorbs every re-request");
+    assert!(stats.evictions > 0, "a 1-byte budget must evict: {stats:?}");
+    assert!(
+        stats.spill_hits > 0,
+        "evicted artifacts must rehydrate: {stats:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn gibbs_pass_mix_is_counted_and_never_changes_samples() {
     let _guard = lock();
