@@ -8,11 +8,12 @@
 //! mirrors the pipeline's own structure/parameter split:
 //!
 //! * **Serialized** — everything the expensive compilation produced: the
-//!   unit-resolution fixings, the d-DNNF enum arena (the reference form),
-//!   the flat execution tape ([`AcTape::to_bytes`], itself versioned and
-//!   checksummed), and the [`PipelineMetrics`] (so a rehydrated artifact
-//!   still reports its true compile cost — which cost-aware eviction
-//!   policies weigh).
+//!   unit-resolution fixings, the [`PipelineMetrics`] (so a rehydrated
+//!   artifact still reports its true compile cost — which cost-aware
+//!   eviction policies weigh), and the flat execution tape
+//!   ([`AcTape::to_bytes`], itself versioned and checksummed) — the one
+//!   compiled form, which every query runs on. The d-DNNF arena it was
+//!   lowered from is not stored.
 //! * **Recomputed** — everything that is a cheap deterministic function of
 //!   the circuit: the Bayesian network, the CNF encoding, the query
 //!   layout. [`KcSimulator::from_bytes`] takes the circuit and options and
@@ -31,17 +32,18 @@ use crate::pipeline::{KcOptions, KcSimulator, PhaseSeconds, PipelineMetrics};
 use qkc_bayesnet::BayesNet;
 use qkc_circuit::Circuit;
 use qkc_cnf::encode;
-use qkc_knowledge::{AcTape, CompileStats, Nnf, NnfNode, TapeDecodeError};
+use qkc_knowledge::{AcTape, CompileStats, TapeDecodeError};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 const MAGIC: [u8; 4] = *b"QKCA";
 /// Current artifact wire-format version; bumped on any layout change.
 /// Version 2 added per-phase compile times ([`PhaseSeconds`]) and the
-/// compiler's order/search split to the metrics section; version-1 spill
-/// files decode to [`ArtifactDecodeError::UnsupportedVersion`] and become
-/// clean recompiles.
-pub const ARTIFACT_WIRE_VERSION: u16 = 2;
+/// compiler's order/search split to the metrics section; version 3 dropped
+/// the d-DNNF arena section, leaving the tape the only compiled form.
+/// Older spill files decode to [`ArtifactDecodeError::UnsupportedVersion`]
+/// and become clean recompiles.
+pub const ARTIFACT_WIRE_VERSION: u16 = 3;
 
 /// Why an artifact payload was rejected by [`KcSimulator::from_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,13 +166,13 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
 impl KcSimulator {
     /// Serializes the compiled artifact into its versioned, checksummed
     /// wire form: everything compilation produced (unit-resolution
-    /// fixings, the d-DNNF arena, the tape, the pipeline metrics) is
-    /// stored, and the cheap deterministic rest (Bayesian network, CNF
-    /// encoding, query layout) is rebuilt from the circuit by
-    /// [`KcSimulator::from_bytes`], the inverse.
+    /// fixings, the pipeline metrics, the tape) is stored, and the cheap
+    /// deterministic rest (Bayesian network, CNF encoding, query layout)
+    /// is rebuilt from the circuit by [`KcSimulator::from_bytes`], the
+    /// inverse.
     pub fn to_bytes(&self, circuit: &Circuit, options: &KcOptions) -> Vec<u8> {
         let tape_bytes = self.tape.to_bytes();
-        let mut out = Vec::with_capacity(tape_bytes.len() + self.nnf.num_nodes() * 8 + 256);
+        let mut out = Vec::with_capacity(tape_bytes.len() + 5 * self.fixed.len() + 256);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&ARTIFACT_WIRE_VERSION.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes()); // reserved
@@ -221,33 +223,6 @@ impl KcSimulator {
             p.tape_lower,
         ] {
             push_u64(&mut out, secs.to_bits());
-        }
-
-        // The d-DNNF enum arena (reference form; the enum-walk paths and
-        // c2d export of a rehydrated artifact keep working).
-        push_u32(&mut out, self.nnf.num_nodes() as u32);
-        push_u32(&mut out, self.nnf.root());
-        for node in self.nnf.nodes() {
-            match node {
-                NnfNode::True => out.push(0),
-                NnfNode::False => out.push(1),
-                NnfNode::Lit(l) => {
-                    out.push(2);
-                    push_u32(&mut out, *l as u32);
-                }
-                NnfNode::And(cs) => {
-                    out.push(3);
-                    push_u32(&mut out, cs.len() as u32);
-                    for &c in cs.iter() {
-                        push_u32(&mut out, c);
-                    }
-                }
-                NnfNode::Or(a, b) => {
-                    out.push(4);
-                    push_u32(&mut out, *a);
-                    push_u32(&mut out, *b);
-                }
-            }
         }
 
         // The flat execution tape, length-prefixed (its own wire format
@@ -368,35 +343,6 @@ impl KcSimulator {
             phase_seconds,
         };
 
-        let n_nodes = rd.u32()? as usize;
-        let nnf_root = rd.u32()?;
-        let mut nodes = Vec::new();
-        // Guard the preallocation against hostile counts; the reads below
-        // bound the real size.
-        nodes.reserve_exact(n_nodes.min(body.len()));
-        for _ in 0..n_nodes {
-            let node = match rd.u8()? {
-                0 => NnfNode::True,
-                1 => NnfNode::False,
-                2 => NnfNode::Lit(rd.u32()? as i32),
-                3 => {
-                    let len = rd.u32()? as usize;
-                    if len > body.len() {
-                        return Err(ArtifactDecodeError::Truncated);
-                    }
-                    let mut cs = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        cs.push(rd.u32()?);
-                    }
-                    NnfNode::And(cs.into_boxed_slice())
-                }
-                4 => NnfNode::Or(rd.u32()?, rd.u32()?),
-                _ => return Err(ArtifactDecodeError::Malformed("unknown NNF node tag")),
-            };
-            nodes.push(node);
-        }
-        let nnf = Nnf::from_parts(nodes, nnf_root).map_err(ArtifactDecodeError::Malformed)?;
-
         let tape_len = rd.u32()? as usize;
         let tape = AcTape::from_bytes(rd.take(tape_len)?)?;
         if !rd.done() {
@@ -425,7 +371,6 @@ impl KcSimulator {
             bn,
             encoding,
             fixed,
-            nnf,
             tape,
             query,
             query_lit_vars,
@@ -467,7 +412,14 @@ mod tests {
             back.metrics().compile_seconds.to_bits(),
             sim.metrics().compile_seconds.to_bits()
         );
-        assert_eq!(back.nnf().num_nodes(), sim.nnf().num_nodes());
+        // The tape is the one compiled form: it survives byte for byte,
+        // and the payload is exactly the 24-byte header, the fixings, the
+        // 176-byte metrics section, the length-prefixed tape and the
+        // checksum — no second compiled form rides along.
+        let tape_bytes = sim.tape().to_bytes();
+        assert_eq!(back.tape().to_bytes(), tape_bytes);
+        let fixings = 4 + 5 * sim.fixed_vars().len();
+        assert_eq!(bytes.len(), 24 + fixings + 176 + 4 + tape_bytes.len() + 8);
         for (t, u) in [(0.3, -1.1), (2.2, 0.7)] {
             let p = ParamMap::from_pairs([("t", t), ("u", u)]);
             let a = sim.bind(&p).unwrap();

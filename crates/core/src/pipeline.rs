@@ -355,10 +355,10 @@ pub struct KcSimulator {
     pub(crate) bn: BayesNet,
     pub(crate) encoding: Encoding,
     pub(crate) fixed: HashMap<u32, bool>,
-    pub(crate) nnf: Nnf,
-    /// The flat execution form of `nnf` — every query kernel runs on this;
-    /// the enum arena is kept for serialization and as the reference
-    /// implementation the tape is tested against.
+    /// The compiled circuit, lowered from the smoothed d-DNNF arena — the
+    /// one compiled form kept: every query kernel runs on it and the wire
+    /// format stores it. The arena is dropped once lowered
+    /// ([`Self::compile_with_nnf`] hands it to enum-walk reference tests).
     pub(crate) tape: AcTape,
     pub(crate) query: Vec<QuerySpec>,
     /// The CNF variables carrying free query-value literals — the only
@@ -409,6 +409,30 @@ impl KcSimulator {
         options: &KcOptions,
         checkpoint: Option<CompileCheckpoint<'_>>,
     ) -> Result<Self, CompileError> {
+        Self::compile_parts(circuit, options, checkpoint).map(|(sim, _)| sim)
+    }
+
+    /// [`Self::compile`] that also returns the smoothed d-DNNF arena the
+    /// tape was lowered from — the input of the enum-walk reference paths
+    /// (`BoundKc::amplitude_assignment_enum_walk`,
+    /// `BoundKc::sampler_enum_walk`) that equivalence tests compare the
+    /// tape kernels against.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::compile`].
+    #[doc(hidden)]
+    pub fn compile_with_nnf(circuit: &Circuit, options: &KcOptions) -> (Self, Nnf) {
+        Self::compile_parts(circuit, options, None).expect("valid circuits encode satisfiable CNFs")
+    }
+
+    /// The whole pipeline. The smoothed arena comes back beside the
+    /// simulator; every caller but [`Self::compile_with_nnf`] drops it.
+    fn compile_parts(
+        circuit: &Circuit,
+        options: &KcOptions,
+        checkpoint: Option<CompileCheckpoint<'_>>,
+    ) -> Result<(Self, Nnf), CompileError> {
         let check = |phase: CompilePhase| -> Result<(), CompileError> {
             match checkpoint {
                 Some(cb) => cb(phase)
@@ -527,17 +551,17 @@ impl KcSimulator {
 
         let (query_lit_vars, output_gray_order) =
             Self::derived_query_layout(&query, &tape, bn.outputs().len());
-        Ok(Self {
+        let sim = Self {
             bn,
             encoding,
             fixed,
-            nnf,
             tape,
             query,
             query_lit_vars,
             output_gray_order,
             metrics,
-        })
+        };
+        Ok((sim, nnf))
     }
 
     /// Mirrors a freshly measured compile into the global telemetry
@@ -636,12 +660,6 @@ impl KcSimulator {
     /// The CNF encoding (pre-simplification).
     pub fn encoding(&self) -> &Encoding {
         &self.encoding
-    }
-
-    /// The compiled, smoothed arithmetic circuit (enum-arena reference
-    /// form; kept for serialization and equivalence testing).
-    pub fn nnf(&self) -> &Nnf {
-        &self.nnf
     }
 
     /// The flat execution tape every query kernel runs on.

@@ -255,34 +255,17 @@ pub trait Backend: Send + Sync {
         seed: u64,
     ) -> Result<Vec<usize>, EngineError>;
 
-    /// The exact measurement distribution for a batch of parameter
-    /// bindings: `result[i]` equals `probabilities(circuit, &params[i])`
+    /// The exact expectation of a diagonal observable for a batch of
+    /// bindings: `result[i]` equals the fold of
+    /// `probabilities(circuit, &params[i])` against the observable
     /// **bit-for-bit** — batching is a throughput contract, never a
     /// numerics contract.
     ///
-    /// The default runs the bindings sequentially; compile-once backends
-    /// override it to amortize the compiled artifact over the whole batch
-    /// ([`KcBackend`] compiles once and reconstructs each point through
-    /// the flat tape's delta evaluator, which recomputes only the dirty
-    /// cone between basis states).
-    ///
-    /// # Errors
-    ///
-    /// The first point-level error in input order.
-    fn probabilities_batch(
-        &self,
-        circuit: &Circuit,
-        params: &[ParamMap],
-    ) -> Result<Vec<Vec<f64>>, EngineError> {
-        params
-            .iter()
-            .map(|p| self.probabilities(circuit, p))
-            .collect()
-    }
-
-    /// The exact expectation of a diagonal observable for a batch of
-    /// bindings, riding on [`Backend::probabilities_batch`]. Like it,
-    /// `result[i]` is bit-for-bit the single-point expectation.
+    /// The default folds each binding's [`Backend::probabilities`] in
+    /// turn; compile-once backends override it to amortize the compiled
+    /// artifact over the whole batch ([`KcBackend`] compiles once, binds
+    /// every point as a lane of one batched bind and sweeps the basis
+    /// once for all lanes through the flat tape's delta evaluator).
     ///
     /// # Errors
     ///
@@ -293,17 +276,17 @@ pub trait Backend: Send + Sync {
         params: &[ParamMap],
         observable: &(dyn Fn(usize) -> f64 + Sync),
     ) -> Result<Vec<f64>, EngineError> {
-        Ok(self
-            .probabilities_batch(circuit, params)?
+        params
             .iter()
-            .map(|probs| {
-                probs
+            .map(|point| {
+                Ok(self
+                    .probabilities(circuit, point)?
                     .iter()
                     .enumerate()
                     .map(|(bits, &p)| p * observable(bits))
-                    .sum()
+                    .sum())
             })
-            .collect())
+            .collect()
     }
 
     /// The expectation of a diagonal observable **and its gradient** with
@@ -476,7 +459,7 @@ impl KcBackend {
     /// back to sampling on otherwise. One definition keeps the scalar and
     /// batched exact paths agreeing on what is feasible.
     fn ensure_exact_budget(&self, circuit: &Circuit) -> Result<(), EngineError> {
-        let log2_branches = Self::log2_noise_branches(circuit);
+        let log2_branches = crate::stats::log2_noise_branches(circuit);
         if log2_branches > self.max_exact_log2_branches {
             return Err(EngineError::Unsupported {
                 backend: self.kind(),
@@ -488,23 +471,6 @@ impl KcBackend {
             });
         }
         Ok(())
-    }
-
-    /// `log2` of the joint noise/measurement branch count — the cheap
-    /// O(ops) piece of [`CircuitStats`](crate::CircuitStats), computed
-    /// directly so per-point hot-path calls skip the treewidth proxy.
-    fn log2_noise_branches(circuit: &Circuit) -> f64 {
-        circuit
-            .operations()
-            .iter()
-            .map(|op| match op {
-                qkc_circuit::Operation::Noise { channel, .. } => {
-                    (channel.num_branches() as f64).log2()
-                }
-                qkc_circuit::Operation::Measure { .. } => 1.0,
-                _ => 0.0,
-            })
-            .sum()
     }
 }
 
@@ -534,45 +500,6 @@ impl Backend for KcBackend {
         Ok(bound.output_probabilities())
     }
 
-    fn probabilities_batch(
-        &self,
-        circuit: &Circuit,
-        params: &[ParamMap],
-    ) -> Result<Vec<Vec<f64>>, EngineError> {
-        if params.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Compile once, then all points as lanes of one batched bind: the
-        // delta-aware batch lane kernel sweeps the Gray-ordered basis once
-        // for the whole lane, decoding each dirty slot once while updating
-        // every lane — compounding the PR 3 delta win with the PR 2 lane
-        // win. Each lane is bit-for-bit the scalar reconstruction, so
-        // sweep results stay byte-identical to every earlier configuration.
-        let artifact = self.acquire(circuit)?;
-        if artifact.num_random_events() > 0 {
-            // Mirror the scalar path's per-point error order (bind first,
-            // then the enumeration budget): the budget depends only on the
-            // circuit, so the first scalar error is point 0's bind error
-            // when it has one, the budget error otherwise.
-            artifact
-                .bind(&params[0])
-                .map_err(|e| EngineError::Circuit(CircuitError::Unbound(e)))?;
-            self.ensure_exact_budget(circuit)?;
-        }
-        let bound = artifact
-            .bind_batch(params)
-            .map_err(|e| EngineError::Circuit(CircuitError::Unbound(e)))?;
-        if artifact.num_random_events() == 0 {
-            Ok(bound
-                .wavefunctions()
-                .into_iter()
-                .map(|wf| wf.iter().map(|a| a.norm_sqr()).collect())
-                .collect())
-        } else {
-            Ok(bound.output_probabilities())
-        }
-    }
-
     fn expectation_batch(
         &self,
         circuit: &Circuit,
@@ -582,12 +509,18 @@ impl Backend for KcBackend {
         if params.is_empty() {
             return Ok(Vec::new());
         }
-        // One batched bind + one Gray-ordered basis sweep for the whole
-        // lane (see `probabilities_batch`); the per-lane expectation fold
-        // is the same enumerate-and-sum as the scalar path, so values are
-        // bit-for-bit the single-point expectations.
+        // Compile once, then all points as lanes of one batched bind: the
+        // delta-aware batch lane kernel sweeps the Gray-ordered basis once
+        // for the whole lane, decoding each dirty slot once while updating
+        // every lane. The per-lane expectation fold is the same
+        // enumerate-and-sum as the scalar path, so values are bit-for-bit
+        // the single-point expectations.
         let artifact = self.acquire(circuit)?;
         if artifact.num_random_events() > 0 {
+            // Mirror the scalar path's per-point error order (bind first,
+            // then the enumeration budget): the budget depends only on the
+            // circuit, so the first scalar error is point 0's bind error
+            // when it has one, the budget error otherwise.
             artifact
                 .bind(&params[0])
                 .map_err(|e| EngineError::Circuit(CircuitError::Unbound(e)))?;
@@ -1003,6 +936,9 @@ mod tests {
         let params: Vec<ParamMap> = (0..5)
             .map(|i| ParamMap::from_pairs([("t", 0.2 + 0.4 * i as f64)]))
             .collect();
+        // Irrational weights, so every basis state's probability shows up
+        // in the low bits of the fold.
+        let obs = |bits: usize| (bits as f64 + 0.5).sqrt();
         let cache = Arc::new(ArtifactCache::new());
         let backends: Vec<Box<dyn Backend>> = vec![
             Box::new(KcBackend::new(cache, KcOptions::default())),
@@ -1012,20 +948,19 @@ mod tests {
         ];
         for b in &backends {
             for circuit in [&pure, &noisy] {
-                let scalar: Result<Vec<Vec<f64>>, EngineError> =
-                    params.iter().map(|p| b.probabilities(circuit, p)).collect();
-                let batched = b.probabilities_batch(circuit, &params);
+                let scalar: Result<Vec<f64>, EngineError> = params
+                    .iter()
+                    .map(|p| {
+                        let probs = b.probabilities(circuit, p)?;
+                        Ok(probs.iter().enumerate().map(|(x, &p)| p * obs(x)).sum())
+                    })
+                    .collect();
+                let batched = b.expectation_batch(circuit, &params, &obs);
                 match (scalar, batched) {
                     (Ok(scalar), Ok(batched)) => {
-                        for (i, (s, g)) in scalar.iter().zip(&batched).enumerate() {
-                            for (x, (&sv, &gv)) in s.iter().zip(g).enumerate() {
-                                assert_eq!(
-                                    sv.to_bits(),
-                                    gv.to_bits(),
-                                    "{} point {i} P({x})",
-                                    b.kind()
-                                );
-                            }
+                        assert_eq!(scalar.len(), batched.len(), "{}", b.kind());
+                        for (i, (&s, &g)) in scalar.iter().zip(&batched).enumerate() {
+                            assert_eq!(s.to_bits(), g.to_bits(), "{} point {i}", b.kind());
                         }
                     }
                     (Err(_), Err(_)) => {} // both unsupported, consistently

@@ -1464,40 +1464,67 @@ mod tests {
 
     #[test]
     fn corrupt_spill_files_are_quarantined_and_never_reread() {
+        use qkc_core::{ArtifactDecodeError, ARTIFACT_WIRE_VERSION};
         let dir = scratch_dir("quarantine");
-        let writer = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
-        writer.get_or_compile(&parameterized(), &KcOptions::default());
-        for f in std::fs::read_dir(&dir).unwrap() {
-            let path = f.unwrap().path();
-            let mut bytes = std::fs::read(&path).unwrap();
+        fn flip_mid(bytes: &mut [u8]) {
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0xFF;
-            std::fs::write(&path, &bytes).unwrap();
         }
-        // The corrupt file costs exactly one recompile and is renamed
-        // aside — it can never be decoded (and fail) a second time.
-        let reader = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
-        reader.get_or_compile(&parameterized(), &KcOptions::default());
-        let s = reader.stats();
-        assert_eq!(s.misses, 1, "corrupt file → one recompile");
-        assert_eq!(s.spill_hits, 0);
-        assert_eq!(s.quarantined, 1);
-        let quarantined = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|f| {
-                f.as_ref().unwrap().path().extension() == Some(std::ffi::OsStr::new("quarantined"))
-            })
-            .count();
-        assert_eq!(quarantined, 1, "the bad bytes were renamed aside");
-        // The recompile wrote fresh good bytes through: a third cache
-        // rehydrates cleanly with nothing left to quarantine.
-        let third = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
-        third.get_or_compile(&parameterized(), &KcOptions::default());
-        assert_eq!(third.stats().spill_hits, 1);
-        assert_eq!(third.stats().quarantined, 0);
-        // `clear` sweeps quarantined files out with the live ones.
-        third.clear();
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        // A payload stamped with the previous wire version: the upgrade
+        // path every warm spill directory takes after a format bump.
+        fn stamp_v2(bytes: &mut [u8]) {
+            bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+        }
+        let cases = [
+            (
+                flip_mid as fn(&mut [u8]),
+                ArtifactDecodeError::ChecksumMismatch,
+            ),
+            (stamp_v2, ArtifactDecodeError::UnsupportedVersion(2)),
+        ];
+        for (damage, error) in cases {
+            let writer = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
+            writer.get_or_compile(&parameterized(), &KcOptions::default());
+            for f in std::fs::read_dir(&dir).unwrap() {
+                let path = f.unwrap().path();
+                let mut bytes = std::fs::read(&path).unwrap();
+                damage(&mut bytes);
+                let decoded =
+                    KcSimulator::from_bytes(&parameterized(), &KcOptions::default(), &bytes);
+                assert_eq!(decoded.err(), Some(error));
+                std::fs::write(&path, &bytes).unwrap();
+            }
+            // The bad file costs exactly one recompile and is renamed
+            // aside — it can never be decoded (and fail) a second time.
+            let reader = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
+            reader.get_or_compile(&parameterized(), &KcOptions::default());
+            let s = reader.stats();
+            assert_eq!(s.misses, 1, "{error}: one recompile");
+            assert_eq!(s.spill_hits, 0, "{error}");
+            assert_eq!(s.quarantined, 1, "{error}");
+            let (quarantined, live): (Vec<PathBuf>, Vec<PathBuf>) = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|f| f.unwrap().path())
+                .partition(|p| p.extension() == Some(std::ffi::OsStr::new("quarantined")));
+            assert_eq!(
+                quarantined.len(),
+                1,
+                "{error}: the bad bytes were renamed aside"
+            );
+            // The recompile wrote fresh current-version bytes through: a
+            // third cache rehydrates cleanly with nothing left to
+            // quarantine.
+            assert_eq!(live.len(), 1, "{error}");
+            let rewritten = std::fs::read(&live[0]).unwrap();
+            assert_eq!(rewritten[4..6], ARTIFACT_WIRE_VERSION.to_le_bytes());
+            let third = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));
+            third.get_or_compile(&parameterized(), &KcOptions::default());
+            assert_eq!(third.stats().spill_hits, 1, "{error}");
+            assert_eq!(third.stats().quarantined, 0, "{error}");
+            // `clear` sweeps quarantined files out with the live ones.
+            third.clear();
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{error}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

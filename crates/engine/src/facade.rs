@@ -28,8 +28,6 @@ pub struct EngineOptions {
     /// worker (see [`SweepExecutor::with_batch`]). Results are identical
     /// for every width.
     pub batch: usize,
-    /// Default workload hint used by queries that do not state one.
-    pub hint: PlanHint,
     /// Artifact-cache residency bounds: byte budget and spill directory
     /// (see [`CacheOptions`]). Defaults to unbounded without spill;
     /// bounding the cache never changes results — evicted artifacts
@@ -56,7 +54,6 @@ impl Default for EngineOptions {
                 .unwrap_or(1)
                 .min(16),
             batch: crate::sweep::DEFAULT_BATCH,
-            hint: PlanHint::default(),
             cache: CacheOptions::default(),
             budget: QueryBudget::default(),
             faults: None,
@@ -80,12 +77,6 @@ impl EngineOptions {
     /// Sets the sweep batch width (1 disables batched evaluation).
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
-        self
-    }
-
-    /// Sets the default workload hint.
-    pub fn with_hint(mut self, hint: PlanHint) -> Self {
-        self.hint = hint;
         self
     }
 
@@ -231,12 +222,14 @@ impl Engine {
             .map(|(metrics, _cost_seconds)| KcCalibration::from_metrics(&metrics))
     }
 
-    /// Plans a backend for `circuit` under the engine's default hint.
-    /// When the structure's compiled artifact is already cache-resident,
-    /// the plan is calibrated against its measured tape size and compile
-    /// time (see [`Planner::plan_calibrated`]).
+    /// Plans a backend for a one-off query on `circuit`
+    /// ([`PlanHint::SingleShot`]; sweeps plan with
+    /// [`Engine::plan_with_hint`]). When the structure's compiled artifact
+    /// is already cache-resident, the plan is calibrated against its
+    /// measured tape size and compile time (see
+    /// [`Planner::plan_calibrated`]).
     pub fn plan(&self, circuit: &Circuit) -> Plan {
-        self.plan_with_hint(circuit, self.options.hint)
+        self.plan_with_hint(circuit, PlanHint::SingleShot)
     }
 
     /// Plans a backend under an explicit hint.
@@ -246,7 +239,7 @@ impl Engine {
             .plan_calibrated(circuit, hint, self.calibration(circuit).as_ref())
     }
 
-    /// An "explain plan" for dispatch under the engine's default hint:
+    /// An "explain plan" for a one-off query ([`PlanHint::SingleShot`]):
     /// every candidate backend's feasibility and estimated cost, plus the
     /// chosen one (always the same backend [`Engine::plan`] picks). A
     /// cache-resident artifact upgrades the KC candidate's score from the
@@ -254,7 +247,7 @@ impl Engine {
     pub fn explain(&self, circuit: &Circuit) -> PlanExplanation {
         self.options.planner.explain_calibrated(
             circuit,
-            self.options.hint,
+            PlanHint::SingleShot,
             self.calibration(circuit).as_ref(),
         )
     }

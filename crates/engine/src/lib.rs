@@ -17,8 +17,7 @@
 //!   VQE/QAOA sweep compiles exactly once;
 //! * [`SweepExecutor`] — fans a batch of [`ParamMap`](qkc_circuit::ParamMap)s
 //!   out across worker threads and, within each worker, through the
-//!   backend's batched evaluation path
-//!   ([`Backend::probabilities_batch`] / [`Backend::expectation_batch`]):
+//!   backend's batched evaluation path ([`Backend::expectation_batch`]):
 //!   the KC backend binds lanes of `k` points at once and amortizes one
 //!   arithmetic-circuit traversal over all of them. Per-point
 //!   deterministic seeding and bit-for-bit batched kernels keep results

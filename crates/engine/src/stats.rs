@@ -85,16 +85,6 @@ pub struct CircuitStats {
 impl CircuitStats {
     /// Computes the statistics of `circuit`.
     pub fn of(circuit: &Circuit) -> Self {
-        let mut log2_noise_branches = 0.0;
-        for op in circuit.operations() {
-            match op {
-                Operation::Noise { channel, .. } => {
-                    log2_noise_branches += (channel.num_branches() as f64).log2();
-                }
-                Operation::Measure { .. } => log2_noise_branches += 1.0,
-                _ => {}
-            }
-        }
         Self {
             num_qubits: circuit.num_qubits(),
             num_gates: circuit.num_gates(),
@@ -102,7 +92,7 @@ impl CircuitStats {
             num_measurements: circuit.num_measurements(),
             depth: circuit.depth(),
             max_ops_per_qubit: circuit.ops_per_qubit().into_iter().max().unwrap_or(0),
-            log2_noise_branches,
+            log2_noise_branches: log2_noise_branches(circuit),
             treewidth_proxy: elimination_width(circuit),
         }
     }
@@ -119,6 +109,21 @@ impl CircuitStats {
     pub fn is_wide_shallow(&self) -> bool {
         self.max_ops_per_qubit <= 12 && self.treewidth_proxy <= self.num_qubits.min(8)
     }
+}
+
+/// [`CircuitStats::log2_noise_branches`] on its own: O(ops), so the KC
+/// backend's per-point exact-enumeration budget check skips the treewidth
+/// proxy.
+pub(crate) fn log2_noise_branches(circuit: &Circuit) -> f64 {
+    let mut log2 = 0.0;
+    for op in circuit.operations() {
+        match op {
+            Operation::Noise { channel, .. } => log2 += (channel.num_branches() as f64).log2(),
+            Operation::Measure { .. } => log2 += 1.0,
+            _ => {}
+        }
+    }
+    log2
 }
 
 /// Greedy min-degree elimination width of the qubit interaction graph.

@@ -92,12 +92,6 @@ pub enum LaneRows {
     Wide(Vec<LaneBlock<LANE_WIDTH>>),
 }
 
-impl Default for LaneRows {
-    fn default() -> Self {
-        LaneRows::Narrow(Vec::new())
-    }
-}
-
 /// Runs `$body` with `$b` bound to the rows of a [`LaneRows`] at their
 /// concrete width: the two arms monomorphize the same width-generic code.
 macro_rules! with_rows {

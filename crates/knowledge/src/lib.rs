@@ -56,7 +56,7 @@ pub use batch::{evaluate_batch, AcWeightsBatch};
 pub use compiler::{compile, CompileOptions, CompileStats, Compiled};
 pub use evaluate::{evaluate, evaluate_with_differentials, AcWeights, Differentials};
 pub use gibbs::{GibbsCounts, GibbsOptions, GibbsSampler, QueryVar};
-pub use lanes::{lane_width, LaneBlock, LaneRows, LANE_WIDTH};
+pub use lanes::{lane_width, LaneBlock, LANE_WIDTH};
 pub use nnf::{Nnf, NnfBuilder, NnfId, NnfNode};
 pub use order::{compute_ranks, compute_ranks_balanced, VarOrder, DEFAULT_SEPARATOR_BALANCE};
 pub use tape::{

@@ -38,45 +38,6 @@ pub struct Nnf {
 }
 
 impl Nnf {
-    /// Reassembles an arena from raw parts — the deserialization entry
-    /// point for artifact wire formats. Validates the arena invariants the
-    /// evaluators index by (children strictly precede parents, root in
-    /// range, literals nonzero); deeper d-DNNF semantic properties
-    /// (decomposability, determinism) are the producer's contract.
-    ///
-    /// # Errors
-    ///
-    /// A static description of the violated invariant.
-    pub fn from_parts(nodes: Vec<NnfNode>, root: NnfId) -> Result<Self, &'static str> {
-        if nodes.is_empty() {
-            return Err("empty arena");
-        }
-        if root as usize >= nodes.len() {
-            return Err("root out of range");
-        }
-        for (i, node) in nodes.iter().enumerate() {
-            match node {
-                NnfNode::True | NnfNode::False => {}
-                NnfNode::Lit(l) => {
-                    if *l == 0 || *l == i32::MIN {
-                        return Err("invalid literal");
-                    }
-                }
-                NnfNode::And(cs) => {
-                    if cs.iter().any(|&c| c as usize >= i) {
-                        return Err("child after parent");
-                    }
-                }
-                NnfNode::Or(a, b) => {
-                    if *a as usize >= i || *b as usize >= i {
-                        return Err("child after parent");
-                    }
-                }
-            }
-        }
-        Ok(Self { nodes, root })
-    }
-
     /// The nodes, children-before-parents.
     pub fn nodes(&self) -> &[NnfNode] {
         &self.nodes

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use qkc::circuit::{Circuit, Param, ParamMap};
 use qkc::engine::{Engine, EngineOptions, SweepSpec};
 use qkc::kc::KcSimulator;
-use qkc::knowledge::GibbsOptions;
+use qkc::knowledge::{GibbsOptions, Nnf};
 use qkc::math::Complex;
 
 /// A random parameterized circuit instruction; rotation angles reference
@@ -68,9 +68,10 @@ fn bits_eq(x: Complex, y: Complex) -> bool {
     x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
 }
 
-/// The enum-walk wavefunction: one arena walk per basis state, via the
+/// The enum-walk wavefunction: one walk of `nnf` (the arena
+/// `compile_with_nnf` returned beside `sim`) per basis state, via the
 /// reference amplitude path (`amplitude_assignment_enum_walk`).
-fn enum_walk_wavefunction(sim: &KcSimulator, p: &ParamMap) -> Vec<Complex> {
+fn enum_walk_wavefunction(sim: &KcSimulator, nnf: &Nnf, p: &ParamMap) -> Vec<Complex> {
     let bound = sim.bind(p).unwrap();
     let n = sim.num_outputs();
     let mut values = vec![0usize; sim.query().len()];
@@ -79,7 +80,7 @@ fn enum_walk_wavefunction(sim: &KcSimulator, p: &ParamMap) -> Vec<Complex> {
             for (i, v) in values[..n].iter_mut().enumerate() {
                 *v = (x >> (n - 1 - i)) & 1;
             }
-            bound.amplitude_assignment_enum_walk(&values)
+            bound.amplitude_assignment_enum_walk(nnf, &values)
         })
         .collect()
 }
@@ -87,7 +88,7 @@ fn enum_walk_wavefunction(sim: &KcSimulator, p: &ParamMap) -> Vec<Complex> {
 /// The enum-walk output distribution: random events enumerated in the
 /// stack's odometer order, so per-`x` accumulation order matches
 /// `output_probabilities` exactly.
-fn enum_walk_probabilities(sim: &KcSimulator, p: &ParamMap) -> Vec<f64> {
+fn enum_walk_probabilities(sim: &KcSimulator, nnf: &Nnf, p: &ParamMap) -> Vec<f64> {
     let bound = sim.bind(p).unwrap();
     let n = sim.num_outputs();
     let rv_domains: Vec<usize> = sim.query()[n..].iter().map(|s| s.domain).collect();
@@ -100,7 +101,9 @@ fn enum_walk_probabilities(sim: &KcSimulator, p: &ParamMap) -> Vec<f64> {
             for (i, v) in values[..n].iter_mut().enumerate() {
                 *v = (x >> (n - 1 - i)) & 1;
             }
-            *p += bound.amplitude_assignment_enum_walk(&values).norm_sqr();
+            *p += bound
+                .amplitude_assignment_enum_walk(nnf, &values)
+                .norm_sqr();
         }
         let mut i = 0;
         loop {
@@ -129,10 +132,10 @@ proptest! {
         b in -3.0..3.0f64,
     ) {
         let c = build(3, &instrs);
-        let sim = KcSimulator::compile(&c, &Default::default());
+        let (sim, nnf) = KcSimulator::compile_with_nnf(&c, &Default::default());
         let p = params(a, b);
         let tape_wf = sim.bind(&p).unwrap().wavefunction();
-        let enum_wf = enum_walk_wavefunction(&sim, &p);
+        let enum_wf = enum_walk_wavefunction(&sim, &nnf, &p);
         for (x, (&got, &want)) in tape_wf.iter().zip(&enum_wf).enumerate() {
             prop_assert!(bits_eq(got, want), "amp {x}: {got} vs {want}");
         }
@@ -149,10 +152,10 @@ proptest! {
     ) {
         let mut c = build(2, &instrs);
         c.depolarize(noise_q, 0.05);
-        let sim = KcSimulator::compile(&c, &Default::default());
+        let (sim, nnf) = KcSimulator::compile_with_nnf(&c, &Default::default());
         let p = params(a, b);
         let tape_probs = sim.bind(&p).unwrap().output_probabilities();
-        let enum_probs = enum_walk_probabilities(&sim, &p);
+        let enum_probs = enum_walk_probabilities(&sim, &nnf, &p);
         for (x, (&got, &want)) in tape_probs.iter().zip(&enum_probs).enumerate() {
             prop_assert!(
                 got.to_bits() == want.to_bits(),
@@ -178,12 +181,12 @@ proptest! {
         let mh_restart_prob = [0.0, 0.05, 0.5][mh_mix];
         let mut c = build(2, &instrs);
         c.depolarize(0, 0.1).depolarize(1, 0.1);
-        let sim = KcSimulator::compile(&c, &Default::default());
+        let (sim, nnf) = KcSimulator::compile_with_nnf(&c, &Default::default());
         let p = params(a, b);
         let bound = sim.bind(&p).unwrap();
         let options = GibbsOptions { warmup: 30, thin: 1, seed, mh_restart_prob };
         let tape_samples = bound.sampler(&options).sample_outputs(100, 1);
-        let enum_samples = bound.sampler_enum_walk(&options).sample_outputs(100, 1);
+        let enum_samples = bound.sampler_enum_walk(&nnf, &options).sample_outputs(100, 1);
         prop_assert_eq!(tape_samples, enum_samples);
     }
 }
@@ -209,11 +212,11 @@ fn sweep_executor_results_match_enum_walk_reconstruction() {
 
     // Enum reference: per-point expectation folded in the same order the
     // backend folds probabilities.
-    let sim = KcSimulator::compile(&c, &Default::default());
+    let (sim, nnf) = KcSimulator::compile_with_nnf(&c, &Default::default());
     let reference: Vec<f64> = points
         .iter()
         .map(|p| {
-            enum_walk_wavefunction(&sim, p)
+            enum_walk_wavefunction(&sim, &nnf, p)
                 .iter()
                 .map(|amp| amp.norm_sqr())
                 .enumerate()
