@@ -5,10 +5,12 @@
 //! contributed by unit-resolved parameter variables) are recomputed.
 
 use crate::pipeline::{KcSimulator, QuerySpec, ValueState};
+use qkc_bayesnet::{CatEntry, NodeId, NodeRole};
 use qkc_circuit::{ParamMap, UnboundParam};
+use qkc_cnf::Lit;
 use qkc_knowledge::{
-    AcWeights, AcWeightsBatch, DiffCone, GibbsCounts, GibbsOptions, GibbsSampler, Nnf, QueryVar,
-    TangentPlan, TapeEvaluator,
+    AcWeights, AcWeightsBatch, DensityBound, DiffCone, GibbsCounts, GibbsOptions, GibbsSampler,
+    Nnf, QueryVar, TangentPlan, TapeEvaluator,
 };
 use qkc_math::{CMatrix, Complex, C_ONE, C_ZERO};
 use std::cell::RefCell;
@@ -382,10 +384,14 @@ impl<'a> BoundKc<'a> {
 
     /// Creates a Gibbs sampler over outputs and random events
     /// (paper §3.3.2). Transitions run on the flat tape through a
-    /// persistent evaluator (delta cone per accepted move).
+    /// persistent evaluator (delta cone per accepted move), and
+    /// Metropolis–Hastings proposals that fail at the chain's density
+    /// bound skip their pass (see [`DensityBound`]).
     pub fn sampler(&self, options: &GibbsOptions) -> KcSampler<'_> {
         let (vars, value_maps) = self.sampler_vars();
-        let sampler = GibbsSampler::new(self.sim.tape(), self.weights.clone(), vars, options);
+        let bound = self.density_bound(&value_maps);
+        let sampler =
+            GibbsSampler::new(self.sim.tape(), self.weights.clone(), vars, bound, options);
         KcSampler {
             sampler,
             value_maps,
@@ -434,6 +440,121 @@ impl<'a> BoundKc<'a> {
             }
         }
         (vars, value_maps)
+    }
+
+    /// A rigorous upper bound on the density `|f(e_y)|²` the tape chain
+    /// computes for any full assignment `y`, for the chain layout of
+    /// [`BoundKc::sampler_vars`] (`f` is the tape root, without the global
+    /// factor). `None` when a weight is not finite.
+    ///
+    /// *Carriers.* For each noise selector `s`: `s` itself and every node
+    /// whose only selector parent is `s` (a non-diagonal channel's new
+    /// qubit state). Every model activates exactly one cell of each
+    /// carrier, and that cell's selector value is `y_s`, so the model's
+    /// weight product holds exactly one factor from it (the CNF encoding
+    /// contract: `P ⟺ cell condition`).
+    ///
+    /// *Bound.* `e_s(k)` is the product over `s`'s carriers of the largest
+    /// `|cell|` among cells with selector value `k`; a `One` cell and a
+    /// parameter forced true (its weight sits in the global factor) count
+    /// 1, and `Zero` cells and parameters forced false never fire. `m̂` is
+    /// the magnitude sum over models with every carrier parameter at
+    /// weight 1 and the query summed out. Then, exactly,
+    /// `|f(e_y)| ≤ m(e_y) ≤ m̂ · Π_s e_s(y_s)`, and the bound is
+    /// `(m̂ · (1 + 2⁻¹⁶))² · Π_s e_s(y_s)²`. Each kernel operation inflates a
+    /// magnitude by at most `1 + √5·u` (`u` = 2⁻⁵³), so the slack covers
+    /// the rounding of any tape under 10⁹ operations, and of this bound's
+    /// own arithmetic.
+    fn density_bound(&self, value_maps: &[Vec<usize>]) -> Option<DensityBound> {
+        const SLACK: f64 = 1.0 + 1.0 / 65_536.0;
+        let bn = self.sim.bayes_net();
+        let vars = &self.sim.encoding().vars;
+        let is_selector = |n: NodeId| matches!(bn.node(n).role, NodeRole::NoiseSelector { .. });
+        // carriers[s]: the carriers of selector node `s`, `s` first. No
+        // node carries two selectors, so no model factor counts twice.
+        let mut carriers: Vec<Vec<NodeId>> = (0..bn.num_nodes())
+            .map(|n| if is_selector(n) { vec![n] } else { Vec::new() })
+            .collect();
+        for c in (0..bn.num_nodes()).filter(|&c| !is_selector(c)) {
+            let mut selectors = bn.node(c).parents.iter().filter(|&&p| is_selector(p));
+            if let (Some(&s), None) = (selectors.next(), selectors.next()) {
+                carriers[s].push(c);
+            }
+        }
+        let mut summed = self.weights.clone();
+        let mut factors = Vec::with_capacity(value_maps.len());
+        for (spec, map) in self.sim.query().iter().zip(value_maps) {
+            let carriers = &carriers[spec.node];
+            if carriers.is_empty() {
+                factors.push(Vec::new());
+                continue;
+            }
+            let mut e = vec![1.0f64; spec.domain];
+            for &c in carriers {
+                for (e, largest) in e.iter_mut().zip(self.largest_cells(c, spec.node)) {
+                    *e *= largest;
+                }
+                for slot in 0..bn.node(c).weights.len() {
+                    let free = vars
+                        .param_var(c, slot)
+                        .filter(|v| !self.sim.fixed_vars().contains_key(v));
+                    if let Some(var) = free {
+                        summed.set(var, C_ONE, C_ONE);
+                    }
+                }
+            }
+            factors.push(map.iter().map(|&v| e[v] * e[v]).collect());
+        }
+        let scale = self
+            .eval
+            .borrow_mut()
+            .model_magnitudes(self.sim.tape(), &summed)
+            * SLACK;
+        DensityBound::new(scale * scale, factors)
+    }
+
+    /// For each value `k` of selector `s`, the largest `|cell|` among the
+    /// cells of carrier `c` whose selector value is `k` (its own value
+    /// when `c` is `s`, its `s` parent's otherwise): 0 when no such cell
+    /// can fire, and `+∞` for a NaN weight, which disables the bound.
+    fn largest_cells(&self, c: NodeId, s: NodeId) -> Vec<f64> {
+        let bn = self.sim.bayes_net();
+        let node = bn.node(c);
+        let domain = bn.node(s).domain;
+        // The place value of `s` in a CAT row index (first parent most
+        // significant).
+        let stride = node.parents.iter().position(|&p| p == s).map(|at| {
+            node.parents[at + 1..]
+                .iter()
+                .map(|&p| bn.node(p).domain)
+                .product::<usize>()
+        });
+        let mut largest = vec![0.0f64; domain];
+        for row in 0..node.num_rows() {
+            for value in 0..node.domain {
+                let magnitude = match node.entry(row, value) {
+                    CatEntry::Zero => continue,
+                    CatEntry::One => 1.0,
+                    CatEntry::Weight(slot) => {
+                        let var = self.sim.encoding().vars.param_var(c, slot);
+                        let var = var.expect("weight cells have parameters");
+                        match self.sim.fixed_vars().get(&var) {
+                            Some(&true) => 1.0,
+                            Some(&false) => continue,
+                            None => self.weights.get(var as Lit).norm(),
+                        }
+                    }
+                };
+                let k = stride.map_or(value, |stride| row / stride % domain);
+                // `f64::max` would drop a NaN.
+                largest[k] = if magnitude.is_nan() {
+                    f64::INFINITY
+                } else {
+                    largest[k].max(magnitude)
+                };
+            }
+        }
+        largest
     }
 }
 
@@ -719,6 +840,7 @@ impl<'a> KcSampler<'a> {
     /// warm-up included in the first) to the `gibbs/*` telemetry counters:
     /// `gibbs/steps`, split into `gibbs/held`, `gibbs/pass/delta`,
     /// `gibbs/pass/full` and `gibbs/mh/proposed`, plus
+    /// `gibbs/mh/bounded` (proposals rejected with no pass) and
     /// `gibbs/mh/accepted` (see [`GibbsCounts`]).
     pub fn sample_outputs(&mut self, count: usize, thin: usize) -> Vec<usize> {
         let maps = self.value_maps.clone();
@@ -737,8 +859,14 @@ impl<'a> KcSampler<'a> {
         qkc_telemetry::count("gibbs/pass/delta", now.delta - last.delta);
         qkc_telemetry::count("gibbs/pass/full", now.full - last.full);
         qkc_telemetry::count("gibbs/mh/proposed", now.mh_proposed - last.mh_proposed);
+        qkc_telemetry::count("gibbs/mh/bounded", now.mh_bounded - last.mh_bounded);
         qkc_telemetry::count("gibbs/mh/accepted", now.mh_accepted - last.mh_accepted);
         out
+    }
+
+    /// How the chain's transitions so far were served (warm-up included).
+    pub fn counts(&self) -> GibbsCounts {
+        self.sampler.counts()
     }
 
     /// The chain's current full assignment in domain values
@@ -755,5 +883,155 @@ impl<'a> KcSampler<'a> {
     /// Fraction of coordinate updates that moved.
     pub fn acceptance_rate(&self) -> f64 {
         self.sampler.acceptance_rate()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::KcOptions;
+    use proptest::prelude::*;
+    use qkc_circuit::{Circuit, NoiseChannel, Param};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One random step: a gate kind, its two qubits, what follows it on
+    /// its first qubit (0..=6 a `NoiseChannel` kind with probability `p`,
+    /// 7 a measurement, 8 depolarizing noise of bound probability `p`, 9
+    /// nothing) and `p`.
+    fn arb_step(n: usize) -> impl Strategy<Value = (usize, usize, usize, usize, f64)> {
+        (0usize..6, 0..n, 0..n, 0usize..10, 0.0..0.3f64)
+    }
+
+    fn build(n: usize, steps: &[(usize, usize, usize, usize, f64)]) -> Circuit {
+        let mut c = Circuit::new(n);
+        for &(gate, a, b, then, p) in steps {
+            let b = if a == b { (b + 1) % n } else { b };
+            match gate {
+                0 => c.h(a),
+                1 => c.rx(a, Param::symbol("a")),
+                2 => c.ry(a, Param::symbol("b")),
+                3 => c.cnot(a, b),
+                4 => c.zz(a, b, Param::symbol("a")),
+                _ => c.t(a),
+            };
+            let channel = match then {
+                0 => NoiseChannel::bit_flip(p),
+                1 => NoiseChannel::phase_flip(p),
+                2 => NoiseChannel::depolarizing(p),
+                3 => NoiseChannel::asymmetric_depolarizing(p / 2.0, p / 3.0, p / 4.0),
+                4 => NoiseChannel::amplitude_damping(p),
+                5 => NoiseChannel::generalized_amplitude_damping(0.3, p),
+                6 => NoiseChannel::phase_damping(p),
+                7 => {
+                    c.measure(a);
+                    continue;
+                }
+                8 => NoiseChannel::Depolarizing {
+                    p: Param::symbol("p"),
+                },
+                _ => continue,
+            };
+            c.noise(channel, a);
+        }
+        c
+    }
+
+    #[test]
+    fn density_bound_follows_its_derivation() {
+        // H, then phase damping (diagonal: its selector, with the qubit as
+        // parent, is its only carrier) and amplitude damping (its new
+        // qubit state, the output, carries it too).
+        let (g1, g2) = (0.3, 0.2);
+        let mut c = Circuit::new(1);
+        c.h(0).phase_damp(0, g1).amplitude_damp(0, g2);
+        let sim = KcSimulator::compile(&c, &KcOptions::default());
+        let bound = sim.bind(&ParamMap::new()).expect("no symbols");
+        let (_, value_maps) = bound.sampler_vars();
+        let density_bound = bound.density_bound(&value_maps).expect("finite");
+        // Models with every carrier at weight 1: H's branch |0⟩ (1/√2)
+        // leaves both channels one choice; branch |1⟩ (1/√2) leaves each
+        // two. The largest cells: 1 for either channel's value 0, √g1 and
+        // √g2 for value 1.
+        let m = 5.0 / 2f64.sqrt() * (1.0 + 1.0 / 65_536.0);
+        for (k1, e1) in [1.0, g1].into_iter().enumerate() {
+            for (k2, e2) in [1.0, g2].into_iter().enumerate() {
+                // Query order: the output, then the two selectors.
+                for y in 0..2 {
+                    let state: Vec<usize> = [y, k1, k2]
+                        .iter()
+                        .zip(&value_maps)
+                        .map(|(&value, map)| map.iter().position(|&v| v == value))
+                        .collect::<Option<_>>()
+                        .expect("every value is free");
+                    let (got, want) = (density_bound.at(&state), m * m * e1 * e2);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want,
+                        "{got} vs {want} at {state:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The density bound holds, and is finite, at random full
+        /// assignments and at the states a bounded chain visits, on random
+        /// circuits with every noise channel kind and measurements.
+        /// Bounded chain rejections are checked as well: debug builds
+        /// assert each one's density against its bound.
+        #[test]
+        fn density_bound_holds_on_random_noisy_circuits(
+            steps in proptest::collection::vec(arb_step(3), 1..8),
+            a in -3.0..3.0f64,
+            b in -3.0..3.0f64,
+            bound_p in 0usize..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let c = build(3, &steps);
+            let sim = KcSimulator::compile(&c, &KcOptions::default());
+            let p = [0.0, 0.01, 0.1, 0.3][bound_p];
+            let bound = sim
+                .bind(&ParamMap::from_pairs([("a", a), ("b", b), ("p", p)]))
+                .expect("all symbols bound");
+            let (vars, value_maps) = bound.sampler_vars();
+            let density_bound = bound
+                .density_bound(&value_maps)
+                .expect("finite weights give a bound");
+            let mut eval = TapeEvaluator::new();
+            let mut weights = bound.weights.clone();
+            let mut check = |state: &[usize]| {
+                for ((spec, &s), map) in sim.query().iter().zip(state).zip(&value_maps) {
+                    write_evidence(spec, map[s], |v, pos, neg| weights.set(v, pos, neg));
+                }
+                let density = eval.evaluate(sim.tape(), &weights).norm_sqr();
+                let at = density_bound.at(state);
+                assert!(at.is_finite(), "bound {at} at {state:?}");
+                assert!(density <= at, "density {density:e} > bound {at:e} at {state:?}");
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..256 {
+                let state: Vec<usize> = vars
+                    .iter()
+                    .map(|v| match v.fixed {
+                        Some(value) => value,
+                        None => rng.gen_range(0..v.value_lits.len()),
+                    })
+                    .collect();
+                check(&state);
+            }
+            let mut chain = bound.sampler(&GibbsOptions {
+                warmup: 20,
+                thin: 1,
+                seed,
+                mh_restart_prob: 0.3,
+            });
+            for _ in 0..64 {
+                chain.sample_outputs(1, 1);
+                check(chain.sampler.state());
+            }
+        }
     }
 }

@@ -520,11 +520,14 @@ impl Backend for KcBackend {
             // Mirror the scalar path's per-point error order (bind first,
             // then the enumeration budget): the budget depends only on the
             // circuit, so the first scalar error is point 0's bind error
-            // when it has one, the budget error otherwise.
-            artifact
-                .bind(&params[0])
-                .map_err(|e| EngineError::Circuit(CircuitError::Unbound(e)))?;
-            self.ensure_exact_budget(circuit)?;
+            // when it has one, the budget error otherwise. Only a circuit
+            // over budget needs point 0 bound alone to tell the two apart.
+            if let Err(over_budget) = self.ensure_exact_budget(circuit) {
+                artifact
+                    .bind(&params[0])
+                    .map_err(|e| EngineError::Circuit(CircuitError::Unbound(e)))?;
+                return Err(over_budget);
+            }
         }
         let bound = artifact
             .bind_batch(params)
@@ -980,6 +983,46 @@ mod tests {
         for v in got {
             assert!((v - 0.5).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn noisy_expectation_batch_reports_errors_in_point_order() {
+        // The per-point scalar order: point 0's unbound symbol, then the
+        // enumeration budget, then a later point's unbound symbol.
+        let mut c = Circuit::new(2);
+        c.rx(0, qkc_circuit::Param::symbol("a"))
+            .cnot(0, 1)
+            .ry(1, qkc_circuit::Param::symbol("b"))
+            .depolarize(0, 0.05)
+            .depolarize(1, 0.05);
+        let obs = |bits: usize| bits as f64;
+        let both = ParamMap::from_pairs([("a", 0.3), ("b", 0.7)]);
+        let only_a = ParamMap::from_pairs([("a", 0.3)]);
+        let only_b = ParamMap::from_pairs([("b", 0.7)]);
+        let unbound = |result: Result<Vec<f64>, EngineError>| match result {
+            Err(EngineError::Circuit(CircuitError::Unbound(e))) => e.name().to_string(),
+            other => panic!("expected an unbound symbol, got {other:?}"),
+        };
+        let cache = Arc::new(ArtifactCache::new());
+        let under = KcBackend::new(Arc::clone(&cache), KcOptions::default());
+        let over = KcBackend::new(cache, KcOptions::default()).with_max_exact_log2_branches(0.0);
+        let batch = |kc: &KcBackend, points: &[&ParamMap]| {
+            let points: Vec<ParamMap> = points.iter().map(|&p| p.clone()).collect();
+            kc.expectation_batch(&c, &points, &obs)
+        };
+        assert_eq!(unbound(batch(&over, &[&only_b, &both])), "a");
+        assert!(matches!(
+            batch(&over, &[&both, &only_a]),
+            Err(EngineError::Unsupported { .. })
+        ));
+        assert!(matches!(
+            over.probabilities(&c, &both),
+            Err(EngineError::Unsupported { .. })
+        ));
+        assert_eq!(unbound(batch(&under, &[&only_b, &both])), "a");
+        assert_eq!(unbound(batch(&under, &[&both, &only_a])), "b");
+        let values = batch(&under, &[&both, &both]).expect("bound and under budget");
+        assert_eq!(values[0].to_bits(), values[1].to_bits());
     }
 
     #[test]

@@ -65,26 +65,6 @@ impl Nnf {
             .sum()
     }
 
-    /// Exact resident size of the enum arena in bytes: the node vector
-    /// plus every AND node's boxed child slice. The old `8 × (nodes +
-    /// edges)` estimate undercounted the enum layout badly (each node is
-    /// `size_of::<NnfNode>()` ≈ 24 bytes before its children). Note the
-    /// *execution* form — [`AcTape`](crate::AcTape) — is smaller still;
-    /// its [`size_bytes`](crate::AcTape::size_bytes) is what the artifact
-    /// cache accounts.
-    pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.nodes.len() * std::mem::size_of::<NnfNode>()
-            + self
-                .nodes
-                .iter()
-                .map(|n| match n {
-                    NnfNode::And(cs) => cs.len() * std::mem::size_of::<NnfId>(),
-                    _ => 0,
-                })
-                .sum::<usize>()
-    }
-
     /// Serializes in the c2d `.nnf` text format (the format the paper's
     /// artifact stores compiled circuits in): a header `nnf v e n` followed
     /// by one line per node — `L lit`, `A k children…`, `O j 2 a b`.
@@ -353,23 +333,5 @@ mod tests {
         );
         assert_eq!(lines.clone().count(), nnf.num_nodes());
         assert_eq!(lines.filter(|l| l.starts_with('L')).count(), 3);
-    }
-
-    #[test]
-    fn size_bytes_is_exact_arena_accounting() {
-        let mut b = NnfBuilder::new();
-        let x = b.lit(1);
-        let y = b.lit(2);
-        let a = b.and([x, y]);
-        let nnf = b.extract(a);
-        // 3 nodes (two literals + one AND with 2 boxed children).
-        let expected = std::mem::size_of::<Nnf>()
-            + 3 * std::mem::size_of::<NnfNode>()
-            + 2 * std::mem::size_of::<NnfId>();
-        assert_eq!(nnf.size_bytes(), expected);
-        // Growing the structure grows the accounting.
-        let z = b.lit(3);
-        let bigger = b.and([a, z]);
-        assert!(b.extract(bigger).size_bytes() > nnf.size_bytes());
     }
 }

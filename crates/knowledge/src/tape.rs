@@ -70,13 +70,15 @@
 //! AND nodes, the zero-partial skip in the downward pass, prefix/suffix
 //! products — including the multiplications by exact one the reference
 //! performs) is mirrored exactly, and model sampling visits OR nodes in the
-//! same order. Lowering only performs transformations that provably
-//! preserve bits: dead nodes are pruned (they never contribute), ⊤/⊥ become
-//! precomputed constants (the values the reference assigns), and an AND
-//! whose children are all constants is folded by running the reference
-//! recipe at lowering time. OR nodes are never folded — model sampling
-//! draws one random number per OR visit, so removing one would shift the
-//! stream.
+//! same order. The one departure is that the scalar downward pass skips
+//! the contributions of a product node that can only be exact zeros:
+//! adding one would leave its target's bits unchanged. Lowering only
+//! performs transformations that provably preserve bits: dead nodes are
+//! pruned (they never contribute), ⊤/⊥ become precomputed constants (the
+//! values the reference assigns), and an AND whose children are all
+//! constants is folded by running the reference recipe at lowering time.
+//! OR nodes are never folded — model sampling draws one random number per
+//! OR visit, so removing one would shift the stream.
 
 use crate::batch::{row_of, unpack_row};
 use crate::evaluate::AcWeights;
@@ -1301,11 +1303,13 @@ impl TapeEvaluator {
     /// half always runs in full (the root partial flows everywhere).
     /// A Gibbs coordinate update that moves its variable changes one
     /// variable's evidence, and the next update rides this pass. Most
-    /// chain steps run no pass at all: over the chains of the
-    /// `noisy-vqe-sample` benchmark (a 12-qubit VQE with depolarizing
-    /// noise after every gate), 85% of steps found the evidence unchanged
-    /// and reused the partials, 10% ran this pass, and 5% were
-    /// Metropolis–Hastings proposals, which run on a separate evaluator.
+    /// chain steps run no pass at all: over the eight chains of the first
+    /// four ops of the `noisy-vqe-sample` benchmark at seed 11 (a 12-qubit
+    /// VQE with depolarizing noise after every gate), 84.7% of steps found
+    /// the evidence unchanged and reused the partials, 10.4% ran this
+    /// pass, and 4.9% were Metropolis–Hastings proposals. The density
+    /// bound rejected 99.6% of those with no pass; the rest ran on a
+    /// separate evaluator.
     ///
     /// Falls back to a full pass when the cached buffer is unusable.
     /// Bit-for-bit equal to a full
@@ -1328,6 +1332,13 @@ impl TapeEvaluator {
 
     /// The downward (partial-derivative) sweep over the current
     /// full-product `values` buffer. Returns the root value.
+    ///
+    /// At a product node with an exact-zero child it pushes only the
+    /// contributions that can be nonzero (see [`zero_children`]): the ones
+    /// it skips are exact zeros, whose adds would leave every partial's
+    /// bits unchanged. In a Gibbs chain's sweeps most reached products have
+    /// such a child, since evidence zeroes one literal of every query
+    /// variable.
     #[inline(always)]
     fn downward(&mut self, tape: &AcTape) -> Complex {
         let n = tape.ops.len();
@@ -1356,6 +1367,17 @@ impl TapeEvaluator {
                 }
                 TapeOpKind::And => {
                     let cs = &tape.edges[op.a as usize..op.b as usize];
+                    if let Some(skip) = zero_children(p, values, cs) {
+                        // Only a lone zero child can receive a nonzero
+                        // contribution, pq·suffix[z] as computed below.
+                        // Every other one is an exact zero, and adding a
+                        // zero to an accumulator, which never holds −0
+                        // (sums start at +0), leaves its bits unchanged.
+                        if let ZeroChildren::One { at, pq, suffix } = skip {
+                            partials[cs[at] as usize] += pq * suffix;
+                        }
+                        continue;
+                    }
                     // Stash the suffix Π_{j>k} v_j from the right; the
                     // forward sweep then carries pq = p·Π_{j<k} v_j so each
                     // child's contribution pq·suffix[k] costs a single
@@ -2095,6 +2117,67 @@ fn mark_parents(tape: &AcTape, slot: usize, queued: &mut [bool], pending: &mut u
             *pending += 1;
         }
     }
+}
+
+/// The children of a product node the scalar downward sweep can skip
+/// (see [`zero_children`]).
+enum ZeroChildren {
+    /// Two or more children are exact zeros: every child's contribution is
+    /// an exact zero.
+    Many,
+    /// Exactly one child, at position `at`, is an exact zero: only it can
+    /// receive a nonzero contribution, `pq · suffix` (`pq` the partial
+    /// times the children before it, `suffix` one times the children
+    /// after it, from the right).
+    One {
+        at: usize,
+        pq: Complex,
+        suffix: Complex,
+    },
+}
+
+/// Classifies the children `cs` of a product node with nonzero partial `p`
+/// for the downward sweep's zero skip. `None` when no child is an exact
+/// zero, or when a contribution the skip would drop might not be an exact
+/// zero: `0·∞` and `0·NaN` are NaN. The skip needs every product through
+/// a zero child to stay finite, so it applies only to nodes of under
+/// 1,000 children where `p` and every child have `|re| + |im| ≤ 2`. That
+/// norm is submultiplicative, so a product of up to 1,000 such factors
+/// stays below 2¹⁰⁰⁰ even after rounding.
+#[inline(always)]
+fn zero_children(p: Complex, values: &[Complex], cs: &[TapeId]) -> Option<ZeroChildren> {
+    let small = |v: Complex| v.re.abs() + v.im.abs() <= 2.0;
+    if cs.len() >= 1000 || !small(p) {
+        return None;
+    }
+    let (mut first, mut last, mut all_small) = (usize::MAX, 0, true);
+    for (k, &c) in cs.iter().enumerate() {
+        let v = values[c as usize];
+        if v == C_ZERO {
+            first = first.min(k);
+            last = k;
+        }
+        all_small &= small(v);
+    }
+    if first == usize::MAX || !all_small {
+        return None;
+    }
+    if first != last {
+        return Some(ZeroChildren::Many);
+    }
+    let mut pq = p;
+    for &c in &cs[..first] {
+        pq *= values[c as usize];
+    }
+    let mut suffix = C_ONE;
+    for &c in cs[first + 1..].iter().rev() {
+        suffix *= values[c as usize];
+    }
+    Some(ZeroChildren::One {
+        at: first,
+        pq,
+        suffix,
+    })
 }
 
 /// The short-circuited product of the rows of `cs` into `out`, two
@@ -3626,6 +3709,114 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An evidence-style weight pair for the zero-skip test: one polarity
+    /// a zero of either sign and the other ±1 (a query variable), or a
+    /// random pair (a parameter); rarely an infinity or a weight so large
+    /// that products overflow before they meet a zero. No weight is NaN,
+    /// so every NaN is one the processor made (`0·∞`), with its one
+    /// default payload: two payloads meeting is the contract's stated
+    /// exception.
+    fn evidence_edge(rng: &mut StdRng) -> (Complex, Complex) {
+        const ZEROS: [Complex; 4] = [
+            C_ZERO,
+            Complex::new(-0.0, 0.0),
+            Complex::new(0.0, -0.0),
+            Complex::new(-0.0, -0.0),
+        ];
+        let live = |rng: &mut StdRng| match rng.gen_range(0..40) {
+            0 => Complex::new(f64::INFINITY, 0.0),
+            1 => Complex::new(0.5, f64::NEG_INFINITY),
+            2 => Complex::new(1e300, -1e300),
+            3..=19 => {
+                if rng.gen::<bool>() {
+                    C_ONE
+                } else {
+                    -C_ONE
+                }
+            }
+            _ => Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5),
+        };
+        if rng.gen::<f64>() < 0.3 {
+            return (live(rng), live(rng));
+        }
+        let zero = ZEROS[rng.gen_range(0..ZEROS.len())];
+        let other = live(rng);
+        if rng.gen::<bool>() {
+            (zero, other)
+        } else {
+            (other, zero)
+        }
+    }
+
+    #[test]
+    fn zero_skipping_downward_matches_enum_walk_at_every_isa() {
+        // Full and delta differentials under evidence-style weights, at
+        // every instruction set the CPU has: the root and every literal's
+        // partial equal the enum-walk reference bit for bit, and every
+        // level holds the portable kernels' buffers. Every classification
+        // of the zero skip must occur: one zero child, several, and a zero
+        // child whose skip a non-finite or large value forbids.
+        let levels = isa_levels();
+        let (mut one, mut many, mut forbidden) = (0usize, 0usize, 0usize);
+        for seed in 0..24u64 {
+            let f = random_cnf(8, 12, seed);
+            let compiled = compile(&f, &CompileOptions::default());
+            let groups: Vec<Vec<i32>> = (1..=8).map(|v| vec![v, -v]).collect();
+            let nnf = smooth(&compiled.nnf, &groups);
+            let tape = AcTape::lower(&nnf);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x2E50);
+            let mut w = AcWeights::uniform(8);
+            for v in 1..=8 {
+                let (pos, neg) = evidence_edge(&mut rng);
+                w.set(v, pos, neg);
+            }
+            let mut evals = evaluators_at(&levels);
+            for step in 0..60 {
+                let changed = [1 + rng.gen_range(0..8) as u32];
+                let (pos, neg) = evidence_edge(&mut rng);
+                w.set(changed[0], pos, neg);
+                let reference = evaluate_with_differentials(&nnf, &w);
+                for (e, isa) in evals.iter_mut().zip(&levels) {
+                    let what = format!("{isa:?} seed {seed} step {step}");
+                    let root = if step % 2 == 0 {
+                        e.differentials(&tape, &w)
+                    } else {
+                        e.differentials_delta(&tape, &w, &changed)
+                    };
+                    assert!(bits_eq(root, reference.value), "{what}: root");
+                    for &(lit, _) in tape.lit_slots() {
+                        let got = e.wrt_lit(&tape, lit).expect("lit on the tape");
+                        let want = reference.wrt_lit(lit).expect("lit in the arena");
+                        assert!(bits_eq(got, want), "{what}: lit {lit}: {got:?} vs {want:?}");
+                    }
+                }
+                for (e, isa) in evals.iter().zip(&levels).skip(1) {
+                    assert_same_buffers(e, &evals[0], &format!("{isa:?} seed {seed} step {step}"));
+                }
+                let port = &evals[0];
+                for (i, op) in tape.ops().iter().enumerate() {
+                    let p = port.partials[i];
+                    if op.kind != TapeOpKind::And || p == C_ZERO {
+                        continue;
+                    }
+                    let cs = &tape.edges()[op.a as usize..op.b as usize];
+                    match zero_children(p, &port.values, cs) {
+                        Some(ZeroChildren::One { .. }) => one += 1,
+                        Some(ZeroChildren::Many) => many += 1,
+                        None if cs.iter().any(|&c| port.values[c as usize] == C_ZERO) => {
+                            forbidden += 1;
+                        }
+                        None => {}
+                    }
+                }
+            }
+        }
+        assert!(
+            one > 0 && many > 0 && forbidden > 0,
+            "skip cases: one zero {one}, several {many}, forbidden {forbidden}"
+        );
     }
 
     #[test]

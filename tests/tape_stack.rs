@@ -5,7 +5,7 @@
 //! Gibbs sampling, and through a complete `SweepExecutor` run.
 
 use proptest::prelude::*;
-use qkc::circuit::{Circuit, Param, ParamMap};
+use qkc::circuit::{Circuit, NoiseChannel, Param, ParamMap};
 use qkc::engine::{Engine, EngineOptions, SweepSpec};
 use qkc::kc::KcSimulator;
 use qkc::knowledge::{GibbsOptions, Nnf};
@@ -189,6 +189,55 @@ proptest! {
         let enum_samples = bound.sampler_enum_walk(&nnf, &options).sample_outputs(100, 1);
         prop_assert_eq!(tape_samples, enum_samples);
     }
+}
+
+/// `gibbs_samples_match_enum_walk` on four qubits with depolarizing noise
+/// (p = 0.01) after every gate, the noise model of the sampling benchmark.
+/// Most Metropolis–Hastings proposals there are rejected at the tape
+/// chain's density bound with no pass, while the enum-walk chain computes
+/// every proposal's density: equal sample streams show those rejections
+/// exact.
+#[test]
+fn gibbs_samples_match_enum_walk_on_four_noisy_qubits() {
+    let mut pure = Circuit::new(4);
+    pure.h(0)
+        .rx(1, Param::symbol("a"))
+        .cnot(0, 1)
+        .ry(2, Param::symbol("b"))
+        .zz(1, 2, Param::symbol("b"))
+        .h(3)
+        .cnot(2, 3)
+        .rz(3, Param::symbol("a"))
+        .cz(0, 3);
+    let c = pure.with_noise_after_each_gate(&NoiseChannel::depolarizing(0.01));
+    let (sim, nnf) = KcSimulator::compile_with_nnf(&c, &Default::default());
+    let bound = sim.bind(&params(0.9, -1.3)).unwrap();
+    let (mut proposed, mut bounded) = (0, 0);
+    for seed in 0..4 {
+        for mh_restart_prob in [0.05, 0.5] {
+            let options = GibbsOptions {
+                warmup: 30,
+                thin: 1,
+                seed,
+                mh_restart_prob,
+            };
+            let mut chain = bound.sampler(&options);
+            let tape_samples = chain.sample_outputs(100, 1);
+            let enum_samples = bound
+                .sampler_enum_walk(&nnf, &options)
+                .sample_outputs(100, 1);
+            assert_eq!(
+                tape_samples, enum_samples,
+                "seed {seed}, MH probability {mh_restart_prob}"
+            );
+            proposed += chain.counts().mh_proposed;
+            bounded += chain.counts().mh_bounded;
+        }
+    }
+    assert!(
+        bounded > proposed / 2,
+        "{bounded} of {proposed} proposals rejected at their bound"
+    );
 }
 
 /// A full `SweepExecutor` run on the tape-backed KC backend is

@@ -237,6 +237,8 @@ fn gibbs_pass_mix_is_counted_and_never_changes_samples() {
         "default options propose MH moves"
     );
     assert!(get("gibbs/mh/accepted") <= get("gibbs/mh/proposed"));
+    // Rejections at the density bound are proposals that ran no pass.
+    assert!(get("gibbs/mh/bounded") <= get("gibbs/mh/proposed"));
     // One chain: a full pass for its first update, then only after an
     // accepted proposal — rejected proposals never cost one.
     assert!(get("gibbs/pass/full") <= 1 + get("gibbs/mh/accepted"));
