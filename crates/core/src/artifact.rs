@@ -40,10 +40,14 @@ const MAGIC: [u8; 4] = *b"QKCA";
 /// Current artifact wire-format version; bumped on any layout change.
 /// Version 2 added per-phase compile times ([`PhaseSeconds`]) and the
 /// compiler's order/search split to the metrics section; version 3 dropped
-/// the d-DNNF arena section, leaving the tape the only compiled form.
+/// the d-DNNF arena section, leaving the tape the only compiled form;
+/// version 4 added the kept separator balance and the rival's decision
+/// count ([`CompileStats::balance`], [`CompileStats::rival_decisions`]).
+/// Version 3 files came from a compiler that searched one balance, so
+/// reusing them would make a structure's circuit depend on cache state.
 /// Older spill files decode to [`ArtifactDecodeError::UnsupportedVersion`]
 /// and become clean recompiles.
-pub const ARTIFACT_WIRE_VERSION: u16 = 3;
+pub const ARTIFACT_WIRE_VERSION: u16 = 4;
 
 /// Why an artifact payload was rejected by [`KcSimulator::from_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,6 +213,12 @@ impl KcSimulator {
         push_u64(&mut out, m.compile_stats.components);
         push_u64(&mut out, m.compile_stats.order_seconds.to_bits());
         push_u64(&mut out, m.compile_stats.search_seconds.to_bits());
+        // The race (version 4); no rival is written as `u64::MAX`.
+        push_u64(&mut out, m.compile_stats.balance.to_bits());
+        push_u64(
+            &mut out,
+            m.compile_stats.rival_decisions.unwrap_or(u64::MAX),
+        );
         push_u64(&mut out, m.compile_seconds.to_bits());
         // Per-phase wall times (version 2): a rehydrated artifact reports
         // the same measured phase breakdown as the compile that made it.
@@ -317,6 +327,8 @@ impl KcSimulator {
             components: rd.u64()?,
             order_seconds: f64::from_bits(rd.u64()?),
             search_seconds: f64::from_bits(rd.u64()?),
+            balance: f64::from_bits(rd.u64()?),
+            rival_decisions: Some(rd.u64()?).filter(|&d| d != u64::MAX),
         };
         let compile_seconds = f64::from_bits(rd.u64()?);
         let phase_seconds = PhaseSeconds {
@@ -412,14 +424,20 @@ mod tests {
             back.metrics().compile_seconds.to_bits(),
             sim.metrics().compile_seconds.to_bits()
         );
+        let race = |s: &KcSimulator| {
+            let c = &s.metrics().compile_stats;
+            (c.balance.to_bits(), c.rival_decisions)
+        };
+        assert_eq!(race(&back), race(&sim));
+        assert!(sim.metrics().compile_stats.rival_decisions.is_some());
         // The tape is the one compiled form: it survives byte for byte,
         // and the payload is exactly the 24-byte header, the fixings, the
-        // 176-byte metrics section, the length-prefixed tape and the
+        // 192-byte metrics section, the length-prefixed tape and the
         // checksum — no second compiled form rides along.
         let tape_bytes = sim.tape().to_bytes();
         assert_eq!(back.tape().to_bytes(), tape_bytes);
         let fixings = 4 + 5 * sim.fixed_vars().len();
-        assert_eq!(bytes.len(), 24 + fixings + 176 + 4 + tape_bytes.len() + 8);
+        assert_eq!(bytes.len(), 24 + fixings + 192 + 4 + tape_bytes.len() + 8);
         for (t, u) in [(0.3, -1.1), (2.2, 0.7)] {
             let p = ParamMap::from_pairs([("t", t), ("u", u)]);
             let a = sim.bind(&p).unwrap();

@@ -33,7 +33,11 @@ pub struct KcOptions {
     pub elide_internal: bool,
     /// Bisection split fraction of the min-cut separator order (see
     /// [`qkc_knowledge::compute_ranks_balanced`]); `0.5` — the default —
-    /// is the balanced split.
+    /// is the balanced split. It is the first of two candidates: the
+    /// compiler also searches the order split at
+    /// [`qkc_knowledge::RACE_SEPARATOR_BALANCE`] and keeps the search with
+    /// fewer decisions, this one on a tie (see [`qkc_knowledge::compile`]).
+    /// A balance of 0.6 races no one.
     pub separator_balance: f64,
 }
 
@@ -84,9 +88,12 @@ pub struct PhaseSeconds {
     pub cnf_encode: f64,
     /// Unit-resolution simplification.
     pub simplify: f64,
-    /// Min-cut separator variable order.
+    /// Min-cut separator variable order of the kept candidate
+    /// ([`CompileStats::order_seconds`]).
     pub var_order: f64,
-    /// Exhaustive DPLL search producing the d-DNNF.
+    /// Exhaustive DPLL search producing the d-DNNF: the rest of the
+    /// compiler's wall time, until both raced candidates stopped
+    /// ([`CompileStats::search_seconds`]).
     pub ddnnf_search: f64,
     /// Query build + internal-variable elision + smoothing.
     pub postprocess: f64,
@@ -164,11 +171,19 @@ impl PipelineMetrics {
             }
         }
         let p = &self.phase_seconds;
+        let c = &self.compile_stats;
+        let race = match c.rival_decisions {
+            Some(rival) => format!(
+                "split {} kept; rival stopped at {rival} decisions",
+                c.balance
+            ),
+            None => "no race".to_owned(),
+        };
         format!(
             "  bn       {} nodes\n\
              \x20 cnf      {} vars, {} clauses -> {} after unit resolution ({} vars fixed)\n\
              \x20 d-DNNF   {} raw nodes -> {} AC nodes, {} edges, {} tape\n\
-             \x20 search   {} decisions, {} components, {} cache hits\n\
+             \x20 search   {} decisions, {} components, {} cache hits ({race})\n\
              \x20 phases   bn {} | encode {} | simplify {} | order {} | search {} | post {} | lower {} | total {}\n",
             self.bn_nodes,
             self.cnf_vars,
@@ -179,9 +194,9 @@ impl PipelineMetrics {
             self.ac_nodes,
             self.ac_edges,
             kb(self.ac_size_bytes),
-            self.compile_stats.decisions,
-            self.compile_stats.components,
-            self.compile_stats.cache_hits,
+            c.decisions,
+            c.components,
+            c.cache_hits,
             ms(p.bn_build),
             ms(p.cnf_encode),
             ms(p.simplify),
@@ -581,6 +596,12 @@ impl KcSimulator {
         record_span_secs("compile/tape_lower", p.tape_lower);
         record_span_secs("compile/total", metrics.compile_seconds);
         count("compile/runs", 1);
+        let c = &metrics.compile_stats;
+        if c.rival_decisions.is_some()
+            && c.balance.to_bits() == qkc_knowledge::RACE_SEPARATOR_BALANCE.to_bits()
+        {
+            count("compile/race/second_kept", 1);
+        }
         record_size("compile/tape_bytes", metrics.ac_size_bytes as u64);
         record_size("compile/ac_nodes", metrics.ac_nodes as u64);
     }

@@ -1470,10 +1470,16 @@ mod tests {
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0xFF;
         }
-        // A payload stamped with the previous wire version: the upgrade
-        // path every warm spill directory takes after a format bump.
+        // Payloads stamped with earlier wire versions: the upgrade path
+        // every warm spill directory takes after a format bump. Version 3
+        // files hold circuits of a compiler that searched one separator
+        // balance, so serving them would make a structure's circuit depend
+        // on cache state.
         fn stamp_v2(bytes: &mut [u8]) {
             bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+        }
+        fn stamp_v3(bytes: &mut [u8]) {
+            bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
         }
         let cases = [
             (
@@ -1481,6 +1487,7 @@ mod tests {
                 ArtifactDecodeError::ChecksumMismatch,
             ),
             (stamp_v2, ArtifactDecodeError::UnsupportedVersion(2)),
+            (stamp_v3, ArtifactDecodeError::UnsupportedVersion(3)),
         ];
         for (damage, error) in cases {
             let writer = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));

@@ -15,6 +15,21 @@
 //! exponential in the worst case (the paper's RCS workloads), but the
 //! compiled circuit is then reused across every simulation query.
 //!
+//! # Two candidate orders
+//!
+//! Under [`VarOrder::MinCutSeparator`], [`compile`] runs two searches on
+//! two scoped threads: one on the order split at the configured
+//! [`CompileOptions::separator_balance`], one on the order split at
+//! [`RACE_SEPARATOR_BALANCE`]. Circuit size follows the decision count,
+//! and neither split is the better one on every structure, so it keeps the
+//! circuit of the search that made fewer decisions — the configured one on
+//! a tie. A search aborts as soon as its decision count exceeds the final
+//! count of a rival that has finished, since it could then never be kept.
+//! The kept search itself never aborts, so the kept circuit is a pure
+//! function of the formula and the options, whatever the thread timing.
+//! Lexicographic order, and a configured balance equal to
+//! [`RACE_SEPARATOR_BALANCE`], run one search.
+//!
 //! # Data layout
 //!
 //! Every search node works on flat arrays built once per compile and
@@ -41,7 +56,9 @@
 //! children by id, and [`NnfBuilder::extract`] renumbers nodes by walking
 //! that child order. So the order in which the search creates nodes fixes
 //! the compiled node numbering, and with it the tape layout and its bytes.
-//! The search therefore keeps every order that reaches the builder fixed:
+//! Each candidate's search therefore keeps every order that reaches its
+//! builder fixed, and the kept circuit is one candidate's own output: node
+//! for node the circuit a lone search at that balance builds.
 //!
 //! * Implied literals are created in the order a round-robin scan over the
 //!   node's clauses finds them, pass after pass until a pass changes
@@ -62,10 +79,13 @@
 
 use crate::fxhash::FxBuildHasher;
 use crate::nnf::{Nnf, NnfBuilder, NnfId};
-use crate::order::{compute_ranks_balanced, VarOrder, DEFAULT_SEPARATOR_BALANCE};
+use crate::order::{
+    compute_ranks_balanced, VarOrder, DEFAULT_SEPARATOR_BALANCE, RACE_SEPARATOR_BALANCE,
+};
 use qkc_cnf::{lit_sign, lit_var, Cnf, Lit};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Compiler configuration.
@@ -76,7 +96,10 @@ pub struct CompileOptions {
     /// Enable component caching (disable only for ablation benchmarks).
     pub cache: bool,
     /// Bisection split fraction for [`VarOrder::MinCutSeparator`] (see
-    /// [`compute_ranks_balanced`]); `0.5` is the balanced default.
+    /// [`compute_ranks_balanced`]); `0.5` is the balanced default. It is
+    /// the first of two candidates: [`compile`] also searches the order
+    /// split at [`RACE_SEPARATOR_BALANCE`] and keeps the search with fewer
+    /// decisions, this one on a tie. A balance of 0.6 races no one.
     pub separator_balance: f64,
 }
 
@@ -99,10 +122,18 @@ pub struct CompileStats {
     pub cache_hits: u64,
     /// Components created (cache misses).
     pub components: u64,
-    /// Wall time spent computing the variable order (min-cut ranks).
+    /// Wall time the kept search spent computing its variable order
+    /// (min-cut ranks); a rival computes its own order at the same time.
     pub order_seconds: f64,
-    /// Wall time spent in the DPLL/d-DNNF exhaustive search itself.
+    /// The rest of the compile's wall time: the DPLL/d-DNNF searches,
+    /// until every candidate stopped.
     pub search_seconds: f64,
+    /// The separator balance of the kept search: the configured one, or
+    /// [`RACE_SEPARATOR_BALANCE`] when that search made fewer decisions.
+    pub balance: f64,
+    /// Decisions the other candidate had made when it stopped: its whole
+    /// search if it finished, fewer if it aborted. `None` when no race ran.
+    pub rival_decisions: Option<u64>,
 }
 
 /// The result of compilation.
@@ -114,7 +145,9 @@ pub struct Compiled {
     pub stats: CompileStats,
 }
 
-/// Compiles a CNF into d-DNNF.
+/// Compiles a CNF into d-DNNF. Under [`VarOrder::MinCutSeparator`] it races
+/// two separator balances and keeps the search with fewer decisions (see
+/// the module docs).
 ///
 /// # Examples
 ///
@@ -128,36 +161,81 @@ pub struct Compiled {
 /// assert!(compiled.nnf.num_nodes() >= 3);
 /// ```
 pub fn compile(cnf: &Cnf, options: &CompileOptions) -> Compiled {
-    // Deep recursion scales with variable count; run on a dedicated thread
-    // with a generous stack so large circuits cannot overflow. The thread
-    // is scoped, so it borrows the formula instead of copying it.
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("qkc-compile".into())
-            .stack_size(512 << 20)
-            .spawn_scoped(scope, || compile_on_this_thread(cnf, options))
-            .expect("spawn compiler thread")
-            .join()
-            .expect("compiler thread panicked")
-    })
+    let start = Instant::now();
+    let mut balances = vec![options.separator_balance];
+    if options.order == VarOrder::MinCutSeparator
+        && options.separator_balance.to_bits() != RACE_SEPARATOR_BALANCE.to_bits()
+    {
+        balances.push(RACE_SEPARATOR_BALANCE);
+    }
+    // The fewest decisions of a finished search. It publishes no other
+    // data, and a stale read only delays an abort, so `Relaxed` suffices.
+    let finished = AtomicU64::new(u64::MAX);
+    // Deep recursion scales with variable count; each search runs on a
+    // dedicated thread with a generous stack so large circuits cannot
+    // overflow. The threads are scoped, so they borrow the formula instead
+    // of copying it.
+    let mut searches: Vec<Result<Compiled, u64>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = balances
+            .iter()
+            .map(|&balance| {
+                let finished = &finished;
+                std::thread::Builder::new()
+                    .name("qkc-compile".into())
+                    .stack_size(512 << 20)
+                    .spawn_scoped(scope, move || search(cnf, options, balance, finished))
+                    .expect("spawn compiler thread")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("compiler thread panicked"))
+            .collect()
+    });
+    let seconds = start.elapsed().as_secs_f64();
+    let stopped_at =
+        |s: &Result<Compiled, u64>| s.as_ref().map_or_else(|&d| d, |c| c.stats.decisions);
+    // Fewest decisions, the first (configured) candidate on a tie. A search
+    // aborts only past a finished rival's count, so it never comes first.
+    let kept = (0..searches.len())
+        .min_by_key(|&i| stopped_at(&searches[i]))
+        .expect("one candidate");
+    let rival_decisions = (searches.len() == 2).then(|| stopped_at(&searches[1 - kept]));
+    let mut compiled = searches
+        .swap_remove(kept)
+        .expect("the search with the fewest decisions finished");
+    compiled.stats.rival_decisions = rival_decisions;
+    compiled.stats.search_seconds = seconds - compiled.stats.order_seconds;
+    compiled
 }
 
-fn compile_on_this_thread(cnf: &Cnf, options: &CompileOptions) -> Compiled {
+/// One candidate: the order split at `balance`, then the search. `finished`
+/// holds the fewest decisions of a search that has finished; this search
+/// lowers it when it finishes, and aborts once it makes more decisions
+/// than it holds, returning its decision count instead of a circuit.
+fn search(
+    cnf: &Cnf,
+    options: &CompileOptions,
+    balance: f64,
+    finished: &AtomicU64,
+) -> Result<Compiled, u64> {
     let order_start = Instant::now();
-    let ranks = compute_ranks_balanced(cnf, options.order, options.separator_balance);
+    let ranks = compute_ranks_balanced(cnf, options.order, balance);
     let order_seconds = order_start.elapsed().as_secs_f64();
-    let search_start = Instant::now();
-    let mut dpll = Dpll::new(cnf, ranks, options.cache);
+    let mut dpll = Dpll::new(cnf, ranks, options.cache, finished);
     let root = dpll.solve_root();
-    let search_seconds = search_start.elapsed().as_secs_f64();
-    Compiled {
+    if dpll.aborted {
+        return Err(dpll.stats.decisions);
+    }
+    finished.fetch_min(dpll.stats.decisions, Ordering::Relaxed);
+    Ok(Compiled {
         nnf: dpll.builder.extract(root),
         stats: CompileStats {
             order_seconds,
-            search_seconds,
+            balance,
             ..dpll.stats
         },
-    }
+    })
 }
 
 /// The formula in flat form.
@@ -476,8 +554,8 @@ fn find(parent: &mut [u32], mut v: u32) -> u32 {
     v
 }
 
-/// The search state of one compile.
-struct Dpll {
+/// The search state of one candidate.
+struct Dpll<'a> {
     clauses: Clauses,
     assign: Assignment,
     ranks: Vec<u32>,
@@ -486,10 +564,15 @@ struct Dpll {
     cache: HashMap<Box<[u32]>, NnfId, FxBuildHasher>,
     use_cache: bool,
     stats: CompileStats,
+    /// The fewest decisions of a finished search (see [`search`]).
+    finished: &'a AtomicU64,
+    /// Set once this search made more decisions than `finished` holds;
+    /// every frame then returns at once, caching nothing.
+    aborted: bool,
 }
 
-impl Dpll {
-    fn new(cnf: &Cnf, ranks: Vec<u32>, use_cache: bool) -> Self {
+impl<'a> Dpll<'a> {
+    fn new(cnf: &Cnf, ranks: Vec<u32>, use_cache: bool, finished: &'a AtomicU64) -> Self {
         Self {
             clauses: Clauses::new(cnf),
             assign: Assignment {
@@ -502,6 +585,8 @@ impl Dpll {
             cache: HashMap::default(),
             use_cache,
             stats: CompileStats::default(),
+            finished,
+            aborted: false,
         }
     }
 
@@ -546,6 +631,9 @@ impl Dpll {
             }
             self.stats.components += 1;
             let id = self.branch(&comp);
+            if self.aborted {
+                return id;
+            }
             if self.use_cache {
                 self.cache.insert(comp.key.into_boxed_slice(), id);
             }
@@ -564,9 +652,15 @@ impl Dpll {
     /// phases, true first.
     fn branch(&mut self, comp: &Component) -> NnfId {
         self.stats.decisions += 1;
+        if self.stats.decisions > self.finished.load(Ordering::Relaxed) {
+            self.aborted = true;
+        }
         let v = comp.decision;
         let mut branches = [self.builder.false_id(); 2];
         for (branch, lit) in branches.iter_mut().zip([v as Lit, -(v as Lit)]) {
+            if self.aborted {
+                return self.builder.false_id();
+            }
             let mark = self.assign.trail.len();
             self.assign.assign(lit);
             let sub = self.solve(&comp.key[..comp.clauses], Some(v));
@@ -746,7 +840,8 @@ mod tests {
         let run = |generation: u32, stale: bool| {
             let ranks =
                 compute_ranks_balanced(&f, VarOrder::MinCutSeparator, DEFAULT_SEPARATOR_BALANCE);
-            let mut dpll = Dpll::new(&f, ranks, true);
+            let unbounded = AtomicU64::new(u64::MAX);
+            let mut dpll = Dpll::new(&f, ranks, true, &unbounded);
             let s = &mut dpll.scratch;
             s.generation = generation;
             if stale {
@@ -772,6 +867,220 @@ mod tests {
             );
             assert_eq!(got, want, "headroom {headroom}");
             assert_eq!(wrapped_stats, stats, "headroom {headroom}");
+        }
+    }
+
+    /// SplitMix64, so the generated formulas depend on nothing else.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// `clauses` random 3-literal clauses over `vars` variables.
+    fn random_3cnf(vars: usize, clauses: usize, seed: u64) -> Cnf {
+        let mut state = seed;
+        let mut f = Cnf::new(vars);
+        for _ in 0..clauses {
+            let mut clause: Vec<Lit> = Vec::with_capacity(3);
+            while clause.len() < 3 {
+                let r = splitmix(&mut state);
+                let v = (r % vars as u64) as Lit + 1;
+                if clause.iter().all(|l| l.abs() != v) {
+                    clause.push(if (r >> 32) & 1 == 1 { v } else { -v });
+                }
+            }
+            f.add_clause(clause);
+        }
+        f
+    }
+
+    /// The CNF of a p=1 QAOA MaxCut circuit on `m` random edges over `n`
+    /// qubits, optionally with depolarizing noise after every gate,
+    /// encoded and simplified as the core pipeline does.
+    fn qaoa_cnf(n: usize, m: usize, seed: u64, noisy: bool) -> Cnf {
+        use qkc_circuit::{Circuit, NoiseChannel, Param};
+        let mut state = seed;
+        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(m);
+        while edges.len() < m {
+            let a = (splitmix(&mut state) % n as u64) as usize;
+            let b = (splitmix(&mut state) % n as u64) as usize;
+            if a != b && !edges.contains(&(a.min(b), a.max(b))) {
+                edges.push((a.min(b), a.max(b)));
+            }
+        }
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q);
+        }
+        for &(a, b) in &edges {
+            c.zz(a, b, Param::symbol("gamma"));
+        }
+        for q in 0..n {
+            c.rx(q, Param::symbol("beta"));
+        }
+        if noisy {
+            c = c.with_noise_after_each_gate(&NoiseChannel::depolarizing(0.01));
+        }
+        let encoding = qkc_cnf::encode(&qkc_bayesnet::BayesNet::from_circuit(&c));
+        qkc_cnf::simplify(&encoding.cnf)
+            .expect("circuit encodings are satisfiable")
+            .cnf
+    }
+
+    /// One candidate's search at `balance`, alone and never aborted.
+    fn lone(cnf: &Cnf, options: &CompileOptions, balance: f64) -> Compiled {
+        search(cnf, options, balance, &AtomicU64::new(u64::MAX)).expect("nothing to abort for")
+    }
+
+    /// The raced compile's statistics that do not depend on timing.
+    fn exact_stats(s: &CompileStats) -> (u64, u64, u64, u64) {
+        (s.decisions, s.cache_hits, s.components, s.balance.to_bits())
+    }
+
+    /// Checks `compile` against its sequential reference: each candidate's
+    /// lone search, keeping the one with fewer decisions and the configured
+    /// balance on a tie. Returns the kept balance.
+    fn check_race(cnf: &Cnf, options: &CompileOptions) -> f64 {
+        let raced = compile(cnf, options);
+        let first = lone(cnf, options, options.separator_balance);
+        let races = options.order == VarOrder::MinCutSeparator
+            && options.separator_balance != RACE_SEPARATOR_BALANCE;
+        let (want, rival) = if races {
+            let second = lone(cnf, options, RACE_SEPARATOR_BALANCE);
+            if second.stats.decisions < first.stats.decisions {
+                (second, Some(first.stats.decisions))
+            } else {
+                (first, Some(second.stats.decisions))
+            }
+        } else {
+            (first, None)
+        };
+        assert_eq!(raced.nnf.to_c2d_format(), want.nnf.to_c2d_format());
+        assert_eq!(exact_stats(&raced.stats), exact_stats(&want.stats));
+        // A rival that finished reports its whole search; one that aborted
+        // stopped past the kept count and short of its own.
+        match (raced.stats.rival_decisions, rival) {
+            (None, None) => {}
+            (Some(got), Some(whole)) => assert!(
+                got == whole || (raced.stats.decisions < got && got < whole),
+                "rival stopped at {got}, kept {}, whole search {whole}",
+                raced.stats.decisions
+            ),
+            other => panic!("rival decisions {other:?}"),
+        }
+        raced.stats.balance
+    }
+
+    #[test]
+    fn each_candidate_wins_where_it_makes_fewer_decisions() {
+        let options = CompileOptions::default();
+        // 295 decisions at 0.5 against 1,100 at 0.6.
+        let f = random_3cnf(24, 60, 3);
+        assert_eq!(check_race(&f, &options), DEFAULT_SEPARATOR_BALANCE);
+        // 497 at 0.5 against 210 at 0.6.
+        let g = random_3cnf(24, 60, 31);
+        assert_eq!(check_race(&g, &options), RACE_SEPARATOR_BALANCE);
+        // A tie, 43 decisions each, where the two circuits differ: the
+        // configured balance is kept.
+        let h = qaoa_cnf(5, 6, 26, false);
+        let (a, b) = (
+            lone(&h, &options, DEFAULT_SEPARATOR_BALANCE),
+            lone(&h, &options, RACE_SEPARATOR_BALANCE),
+        );
+        assert_eq!(a.stats.decisions, b.stats.decisions);
+        assert_ne!(a.nnf.to_c2d_format(), b.nnf.to_c2d_format());
+        assert_eq!(check_race(&h, &options), DEFAULT_SEPARATOR_BALANCE);
+        assert_eq!(compile(&h, &options).stats.rival_decisions, Some(43));
+        // A configured 0.6, and the lexicographic order, race no one.
+        for options in [
+            CompileOptions {
+                separator_balance: RACE_SEPARATOR_BALANCE,
+                ..Default::default()
+            },
+            CompileOptions {
+                order: VarOrder::Lexicographic,
+                ..Default::default()
+            },
+        ] {
+            for cnf in [&f, &g, &h] {
+                check_race(cnf, &options);
+                assert_eq!(compile(cnf, &options).stats.rival_decisions, None);
+            }
+        }
+    }
+
+    #[test]
+    fn a_search_aborts_just_past_a_finished_rivals_count() {
+        let f = random_3cnf(24, 60, 3);
+        let options = CompileOptions::default();
+        let whole = lone(&f, &options, DEFAULT_SEPARATOR_BALANCE);
+        let d = whole.stats.decisions;
+        for bound in [0, 1, d / 2, d - 1] {
+            let finished = AtomicU64::new(bound);
+            let got = search(&f, &options, DEFAULT_SEPARATOR_BALANCE, &finished);
+            assert_eq!(got.err(), Some(bound + 1), "bound {bound}");
+            assert_eq!(
+                finished.load(Ordering::Relaxed),
+                bound,
+                "an abort lowers nothing"
+            );
+        }
+        // At or above its own count, a search finishes, builds the lone
+        // search's circuit, and lowers the bound to its count.
+        for bound in [d, d + 1, u64::MAX] {
+            let finished = AtomicU64::new(bound);
+            let got = search(&f, &options, DEFAULT_SEPARATOR_BALANCE, &finished).expect("finishes");
+            assert_eq!(got.nnf.to_c2d_format(), whole.nnf.to_c2d_format());
+            assert_eq!(exact_stats(&got.stats), exact_stats(&whole.stats));
+            assert_eq!(finished.load(Ordering::Relaxed), d);
+        }
+    }
+
+    #[test]
+    fn repeated_races_compile_identical_circuits() {
+        // A noisy circuit where 0.6 wins by far (606 decisions against
+        // 2,214), so the 0.5 search is usually aborted part way: whatever
+        // it did before stopping must leave no trace in the output.
+        let f = qaoa_cnf(6, 7, 1, true);
+        let options = CompileOptions::default();
+        let want = lone(&f, &options, RACE_SEPARATOR_BALANCE);
+        let text = want.nnf.to_c2d_format();
+        for run in 0..20 {
+            let got = compile(&f, &options);
+            assert_eq!(got.nnf.to_c2d_format(), text, "run {run}");
+            assert_eq!(
+                exact_stats(&got.stats),
+                exact_stats(&want.stats),
+                "run {run}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn raced_compile_equals_the_lone_search_with_fewer_decisions(
+            seed in 0u64..1 << 32,
+            kind in 0usize..4,
+        ) {
+            let cnf = match kind {
+                0 => random_3cnf(24, 60, seed),
+                1 => random_3cnf(30, 90, seed),
+                2 => qaoa_cnf(5 + (seed % 3) as usize, 6 + (seed % 4) as usize, seed, false),
+                _ => qaoa_cnf(4 + (seed % 2) as usize, 5, seed, true),
+            };
+            // Without the component cache a noisy circuit can take 2·10^5
+            // decisions, so only the other kinds run uncached.
+            let mut configs = vec![(VarOrder::MinCutSeparator, true), (VarOrder::Lexicographic, true)];
+            if kind < 3 {
+                configs.push((VarOrder::MinCutSeparator, false));
+            }
+            for (order, cache) in configs {
+                check_race(&cnf, &CompileOptions { order, cache, ..Default::default() });
+            }
         }
     }
 

@@ -58,7 +58,10 @@ pub use evaluate::{evaluate, evaluate_with_differentials, AcWeights, Differentia
 pub use gibbs::{DensityBound, GibbsCounts, GibbsOptions, GibbsSampler, QueryVar};
 pub use lanes::{lane_width, LaneBlock, LANE_WIDTH};
 pub use nnf::{Nnf, NnfBuilder, NnfId, NnfNode};
-pub use order::{compute_ranks, compute_ranks_balanced, VarOrder, DEFAULT_SEPARATOR_BALANCE};
+pub use order::{
+    compute_ranks, compute_ranks_balanced, VarOrder, DEFAULT_SEPARATOR_BALANCE,
+    RACE_SEPARATOR_BALANCE,
+};
 pub use tape::{
     fnv1a as wire_checksum, AcTape, DiffCone, TangentPlan, TapeDecodeError, TapeDifferentials,
     TapeEvaluator, TapeId, TapeOp, TapeOpKind, WIRE_VERSION as TAPE_WIRE_VERSION,

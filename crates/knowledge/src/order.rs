@@ -26,6 +26,12 @@ pub enum VarOrder {
 /// perfectly balanced halves. See [`compute_ranks_balanced`].
 pub const DEFAULT_SEPARATOR_BALANCE: f64 = 0.5;
 
+/// The second candidate balance of every [`VarOrder::MinCutSeparator`]
+/// compile: [`crate::compile`] races a search at this split against one at
+/// the configured balance and keeps the circuit whose search made fewer
+/// decisions. A configured balance of 0.6 races no one.
+pub const RACE_SEPARATOR_BALANCE: f64 = 0.6;
+
 /// Computes `rank[var]` (1-based vars; index 0 unused): the compiler always
 /// branches on the unassigned variable of minimum rank within a component.
 pub fn compute_ranks(cnf: &Cnf, order: VarOrder) -> Vec<u32> {
@@ -39,7 +45,10 @@ pub fn compute_ranks(cnf: &Cnf, order: VarOrder) -> Vec<u32> {
 /// balanced default and reproduces [`compute_ranks`] exactly. The balance
 /// is part of the compiled artifact's identity — two compilations that
 /// differ only in it may produce different variable orders, hence
-/// different (equally correct) circuits.
+/// different (equally correct) circuits. [`crate::compile`] treats it as
+/// the first of two candidates (the second is
+/// [`RACE_SEPARATOR_BALANCE`]), so one balance may compile the circuit of
+/// the other.
 pub fn compute_ranks_balanced(cnf: &Cnf, order: VarOrder, balance: f64) -> Vec<u32> {
     let n = cnf.num_vars();
     match order {

@@ -245,6 +245,42 @@ fn gibbs_pass_mix_is_counted_and_never_changes_samples() {
     telemetry::reset();
 }
 
+/// Each compile races two separator balances; the registry counts the
+/// structures that kept the second, and the race's wall time stays inside
+/// the compile's phase accounting.
+#[test]
+fn compiles_that_keep_the_second_balance_are_counted() {
+    use qkc::kc::{KcOptions, KcSimulator};
+    use qkc::knowledge::{DEFAULT_SEPARATOR_BALANCE, RACE_SEPARATOR_BALANCE};
+    use qkc::workloads::{Graph, QaoaMaxCut};
+
+    let _guard = lock();
+    let _flag = FlagGuard::set(true);
+    telemetry::reset();
+    // Graph 9 keeps the second balance and graph 1 the default (see
+    // tests/compile_pinned.rs).
+    let kept: Vec<f64> = [9, 1]
+        .map(|g| {
+            let circuit = QaoaMaxCut::new(Graph::random_regular(8, 3, g), 1).circuit();
+            let sim = KcSimulator::compile(&circuit, &KcOptions::default());
+            let m = sim.metrics();
+            assert!(m.compile_stats.rival_decisions.is_some(), "graph {g} raced");
+            assert!(
+                m.phase_seconds.total() <= m.compile_seconds,
+                "graph {g}: phases {:?} exceed the compile's {} s",
+                m.phase_seconds,
+                m.compile_seconds
+            );
+            m.compile_stats.balance
+        })
+        .to_vec();
+    assert_eq!(kept, [RACE_SEPARATOR_BALANCE, DEFAULT_SEPARATOR_BALANCE]);
+    let snap = telemetry::snapshot();
+    assert_eq!(snap.counter("compile/runs"), Some(2));
+    assert_eq!(snap.counter("compile/race/second_kept"), Some(1));
+    telemetry::reset();
+}
+
 #[test]
 fn snapshots_stay_consistent_under_concurrent_recording() {
     let _guard = lock();
