@@ -45,9 +45,14 @@ const MAGIC: [u8; 4] = *b"QKCA";
 /// count ([`CompileStats::balance`], [`CompileStats::rival_decisions`]).
 /// Version 3 files came from a compiler that searched one balance, so
 /// reusing them would make a structure's circuit depend on cache state.
+/// Version 5 keeps the layout; it marks tapes whose smoothing factors the
+/// parameter-only children out of every query-dependent product
+/// ([`qkc_knowledge::smooth`]). A version-4 tape is unfactored and binds
+/// to results that differ from a fresh compile's in the last bits, so
+/// reusing it would make result bits depend on cache state.
 /// Older spill files decode to [`ArtifactDecodeError::UnsupportedVersion`]
 /// and become clean recompiles.
-pub const ARTIFACT_WIRE_VERSION: u16 = 4;
+pub const ARTIFACT_WIRE_VERSION: u16 = 5;
 
 /// Why an artifact payload was rejected by [`KcSimulator::from_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -521,7 +521,9 @@ impl KcSimulator {
             compiled.nnf
         };
 
-        // Smooth over the free values of every query variable.
+        // Smooth over the free values of every query variable, factoring
+        // each query-dependent product's parameter-only children into one
+        // child that delta passes never revisit between binds.
         let groups: Vec<Vec<Lit>> = query
             .iter()
             .filter_map(|spec| {

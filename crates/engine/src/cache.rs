@@ -1473,13 +1473,16 @@ mod tests {
         // Payloads stamped with earlier wire versions: the upgrade path
         // every warm spill directory takes after a format bump. Version 3
         // files hold circuits of a compiler that searched one separator
-        // balance, so serving them would make a structure's circuit depend
-        // on cache state.
+        // balance, and version 4 files unfactored tapes, so serving either
+        // would make a structure's result bits depend on cache state.
         fn stamp_v2(bytes: &mut [u8]) {
             bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
         }
         fn stamp_v3(bytes: &mut [u8]) {
             bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+        }
+        fn stamp_v4(bytes: &mut [u8]) {
+            bytes[4..6].copy_from_slice(&4u16.to_le_bytes());
         }
         let cases = [
             (
@@ -1488,6 +1491,7 @@ mod tests {
             ),
             (stamp_v2, ArtifactDecodeError::UnsupportedVersion(2)),
             (stamp_v3, ArtifactDecodeError::UnsupportedVersion(3)),
+            (stamp_v4, ArtifactDecodeError::UnsupportedVersion(4)),
         ];
         for (damage, error) in cases {
             let writer = ArtifactCache::with_options(CacheOptions::default().with_spill_dir(&dir));

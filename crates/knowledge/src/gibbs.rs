@@ -244,6 +244,14 @@ pub struct GibbsSampler<'a> {
 /// exhausting it is astronomically unlikely in that case.
 const ZERO_DENSITY_REDRAWS: usize = 32;
 
+/// Bounded budget of uniform MH proposals for a start still at density 0
+/// after every redraw (see [`GibbsSampler::new`]). A uniform proposal lands
+/// in the support with probability `s`, the support's share of the joint
+/// domain of the movable variables, so all of them miss with probability
+/// `(1 − s)^256`: below 1e-7 for `s = 1/16`. With no support at all it
+/// costs at most 256 amplitude passes.
+const ZERO_DENSITY_PROPOSALS: usize = 256;
+
 impl<'a> GibbsSampler<'a> {
     /// Creates a sampler over the flat compiled tape.
     ///
@@ -377,7 +385,18 @@ impl<'a> GibbsSampler<'a> {
             sampler.reset_query_weights();
             sampler.draw_start(has_support);
         }
-        // Warm-up moves the chain into the support and mixes it.
+        // From a density-0 state every coordinate column is zero, so only
+        // the MH move could leave it, and warm-up would mostly hold. With
+        // no current density that move accepts any proposal of positive
+        // density, so propose until one lands in the support, bounded. A
+        // start in the support proposes nothing and draws nothing here.
+        for _ in 0..ZERO_DENSITY_PROPOSALS {
+            if sampler.current_density > 0.0 || sampler.movable.is_empty() {
+                break;
+            }
+            sampler.mh_move();
+        }
+        // Warm-up mixes the chain.
         for _ in 0..options.warmup {
             sampler.step();
         }

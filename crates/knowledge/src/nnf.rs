@@ -119,6 +119,9 @@ impl Nnf {
 pub struct NnfBuilder {
     nodes: Vec<NnfNode>,
     cache: HashMap<NnfNode, NnfId, FxBuildHasher>,
+    /// Per node: a product [`Self::and`] keeps as one child instead of
+    /// flattening it (see [`Self::and_sealed`]).
+    sealed: Vec<bool>,
 }
 
 impl NnfBuilder {
@@ -151,6 +154,7 @@ impl NnfBuilder {
         }
         let id = self.nodes.len() as NnfId;
         self.nodes.push(node.clone());
+        self.sealed.push(false);
         self.cache.insert(node, id);
         id
     }
@@ -162,7 +166,8 @@ impl NnfBuilder {
     }
 
     /// A conjunction. Simplifies: drops ⊤ children, collapses to ⊥ on any ⊥
-    /// child, flattens nested ANDs, sorts and dedups children.
+    /// child, flattens nested ANDs (except sealed ones), sorts and dedups
+    /// children.
     pub fn and(&mut self, children: impl IntoIterator<Item = NnfId>) -> NnfId {
         let mut flat: Vec<NnfId> = Vec::new();
         let mut stack: Vec<NnfId> = children.into_iter().collect();
@@ -170,7 +175,7 @@ impl NnfBuilder {
             match &self.nodes[c as usize] {
                 NnfNode::True => {}
                 NnfNode::False => return self.false_id(),
-                NnfNode::And(cs) => stack.extend(cs.iter().copied()),
+                NnfNode::And(cs) if !self.sealed[c as usize] => stack.extend(cs.iter().copied()),
                 _ => flat.push(c),
             }
         }
@@ -181,6 +186,18 @@ impl NnfBuilder {
             1 => flat[0],
             _ => self.intern(NnfNode::And(flat.into_boxed_slice())),
         }
+    }
+
+    /// [`Self::and`], sealed: when the result is a product, every later
+    /// `and` keeps it as one child instead of flattening it. The mark is
+    /// on the hash-consed node, so it holds for every equal product,
+    /// however it was built.
+    pub fn and_sealed(&mut self, children: impl IntoIterator<Item = NnfId>) -> NnfId {
+        let id = self.and(children);
+        if matches!(self.nodes[id as usize], NnfNode::And(_)) {
+            self.sealed[id as usize] = true;
+        }
+        id
     }
 
     /// A sum node. Simplifies ⊥ children away. The compiler only ever
@@ -201,23 +218,23 @@ impl NnfBuilder {
     /// Extracts the sub-DAG reachable from `root` into a compact [`Nnf`]
     /// with renumbered, topologically ordered ids.
     pub fn extract(&self, root: NnfId) -> Nnf {
-        let mut map: HashMap<NnfId, NnfId> = HashMap::new();
+        const UNSEEN: NnfId = NnfId::MAX;
+        let mut map: Vec<NnfId> = vec![UNSEEN; self.nodes.len()];
         let mut out: Vec<NnfNode> = Vec::new();
         // Iterative post-order to renumber children first.
         let mut stack: Vec<(NnfId, bool)> = vec![(root, false)];
         while let Some((id, expanded)) = stack.pop() {
-            if map.contains_key(&id) {
+            if map[id as usize] != UNSEEN {
                 continue;
             }
             if expanded {
                 let node = match &self.nodes[id as usize] {
-                    NnfNode::And(cs) => NnfNode::And(cs.iter().map(|c| map[c]).collect()),
-                    NnfNode::Or(a, b) => NnfNode::Or(map[a], map[b]),
+                    NnfNode::And(cs) => NnfNode::And(cs.iter().map(|&c| map[c as usize]).collect()),
+                    NnfNode::Or(a, b) => NnfNode::Or(map[*a as usize], map[*b as usize]),
                     other => other.clone(),
                 };
-                let new_id = out.len() as NnfId;
+                map[id as usize] = out.len() as NnfId;
                 out.push(node);
-                map.insert(id, new_id);
             } else {
                 stack.push((id, true));
                 match &self.nodes[id as usize] {
@@ -233,7 +250,7 @@ impl NnfBuilder {
             }
         }
         Nnf {
-            root: map[&root],
+            root: map[root as usize],
             nodes: out,
         }
     }

@@ -7,7 +7,18 @@
 //!   amplitudes without materializing intermediate-state structure.
 //! * [`smooth`] makes the circuit smooth over the *query* variable groups
 //!   (final qubit states, noise RVs, measurement RVs) so that evidence and
-//!   differential queries are exact.
+//!   differential queries are exact. It also factors every product that
+//!   mentions a query group: the children that mention none (parameter
+//!   literals, and sub-circuits with no query literal) become one shared
+//!   child product. Invariant: afterwards no product that mentions a
+//!   group has two or more children that mention none. A bind fixes the
+//!   parameter weights, so every later delta pass and downward sweep
+//!   reads that product's value instead of multiplying its factors again.
+//!
+//! The factoring lives in [`smooth`] because every producer of a tape —
+//! the compile pipeline, and any caller that rebuilds a structure stage by
+//! stage — runs it last before [`AcTape::lower`](crate::AcTape::lower),
+//! and such a rebuild must reproduce the pipeline's tape byte for byte.
 
 use crate::nnf::{Nnf, NnfBuilder, NnfId, NnfNode};
 use qkc_cnf::{lit_var, Lit};
@@ -41,13 +52,31 @@ pub fn project_out(nnf: &Nnf, keep: impl Fn(u32) -> bool) -> Nnf {
     b.extract(map[nnf.root() as usize])
 }
 
-/// Makes the circuit smooth over the given variable groups.
+/// Makes the circuit smooth over the given variable groups, and factors
+/// the parameter-only children out of every product that mentions one.
 ///
 /// Each group lists the literals covering one query variable's domain:
 /// `[+v, -v]` for a binary-encoded node, or the positive indicator literals
 /// for a multi-valued node. After smoothing, every model of the circuit
 /// mentions exactly one literal from every group, which is the precondition
 /// for evidence setting and differential queries to be exact.
+///
+/// Factoring: in every product that mentions a group, the children that
+/// mention none (parameter literals, and sub-circuits with no query
+/// literal) become one hash-consed child product. That product, and every
+/// other product that mentions no group, is sealed
+/// ([`NnfBuilder::and_sealed`]), so the smoothing padding, which
+/// flattens a child into a product with its gadgets, keeps it whole.
+/// Afterwards no product that mentions a group has two or more children
+/// that mention none. Evidence only moves query literals, so a delta
+/// pass or a downward sweep never revisits such a child between two
+/// binds: it reads one factored value where it would multiply every
+/// parameter factor again. Against the unfactored circuit, values differ
+/// only by re-association.
+///
+/// The factoring lives here, not in a pass of its own, because every
+/// producer of a compiled tape runs `smooth` last before lowering, and
+/// this pass already knows which nodes mention a group.
 pub fn smooth(nnf: &Nnf, groups: &[Vec<Lit>]) -> Nnf {
     let num_groups = groups.len();
     if num_groups == 0 {
@@ -61,8 +90,10 @@ pub fn smooth(nnf: &Nnf, groups: &[Vec<Lit>]) -> Nnf {
         }
     }
     let blocks = num_groups.div_ceil(64);
-    // Group bitsets per original node, flat storage.
+    // Group bitsets per original node, flat storage, and whether each
+    // node mentions no group at all.
     let mut sets = vec![0u64; nnf.num_nodes() * blocks];
+    let mut free = vec![true; nnf.num_nodes()];
     let set_bit = |sets: &mut [u64], node: usize, g: usize| {
         sets[node * blocks + g / 64] |= 1 << (g % 64);
     };
@@ -89,6 +120,7 @@ pub fn smooth(nnf: &Nnf, groups: &[Vec<Lit>]) -> Nnf {
             }
             _ => {}
         }
+        free[i] = sets[i * blocks..][..blocks].iter().all(|&w| w == 0);
     }
 
     let mut b = NnfBuilder::new();
@@ -108,41 +140,56 @@ pub fn smooth(nnf: &Nnf, groups: &[Vec<Lit>]) -> Nnf {
         })
         .collect();
 
-    // Pad a child up to the group set `want`.
-    let missing_groups = |sets: &[u64], node: usize, want: &[u64]| -> Vec<usize> {
-        let mut out = Vec::new();
-        for g in 0..num_groups {
-            let has = sets[node * blocks + g / 64] >> (g % 64) & 1 == 1;
-            let wanted = want[g / 64] >> (g % 64) & 1 == 1;
-            if wanted && !has {
-                out.push(g);
+    // `node` times the gadget of every group in `want` it does not mention.
+    let pad = |b: &mut NnfBuilder, node: NnfId, has: &[u64], want: &[u64]| -> NnfId {
+        if has.iter().zip(want).all(|(&h, &w)| w & !h == 0) {
+            return node;
+        }
+        let mut parts = vec![node];
+        for (blk, (&h, &w)) in has.iter().zip(want).enumerate() {
+            let mut miss = w & !h;
+            while miss != 0 {
+                parts.push(gadgets[blk * 64 + miss.trailing_zeros() as usize]);
+                miss &= miss - 1;
             }
         }
-        out
+        b.and(parts)
     };
 
     let mut map: Vec<NnfId> = Vec::with_capacity(nnf.num_nodes());
+    let mut children: Vec<NnfId> = Vec::new();
+    let mut factored: Vec<NnfId> = Vec::new();
     for (i, node) in nnf.nodes().iter().enumerate() {
         let new_id = match node {
             NnfNode::True => b.true_id(),
             NnfNode::False => b.false_id(),
             NnfNode::Lit(l) => b.lit(*l),
+            NnfNode::And(cs) if free[i] => b.and_sealed(cs.iter().map(|&c| map[c as usize])),
             NnfNode::And(cs) => {
-                let children: Vec<NnfId> = cs.iter().map(|&c| map[c as usize]).collect();
-                b.and(children)
+                children.clear();
+                factored.clear();
+                for &c in cs.iter() {
+                    let part = if free[c as usize] {
+                        &mut factored
+                    } else {
+                        &mut children
+                    };
+                    part.push(map[c as usize]);
+                }
+                match factored.len() {
+                    0 => {}
+                    1 => children.push(factored[0]),
+                    _ => children.push(b.and_sealed(factored.drain(..))),
+                }
+                b.and(children.drain(..))
             }
             NnfNode::Or(a, c) => {
-                let want: Vec<u64> = sets[i * blocks..(i + 1) * blocks].to_vec();
-                let mut padded = [map[*a as usize], map[*c as usize]];
-                for (slot, &child) in [*a, *c].iter().enumerate() {
-                    let miss = missing_groups(&sets, child as usize, &want);
-                    if !miss.is_empty() {
-                        let mut parts = vec![padded[slot]];
-                        parts.extend(miss.iter().map(|&g| gadgets[g]));
-                        padded[slot] = b.and(parts);
-                    }
-                }
-                b.or(padded[0], padded[1])
+                let want = &sets[i * blocks..][..blocks];
+                let [a, c] = [*a, *c].map(|child| {
+                    let has = &sets[child as usize * blocks..][..blocks];
+                    pad(&mut b, map[child as usize], has, want)
+                });
+                b.or(a, c)
             }
         };
         map.push(new_id);
@@ -158,13 +205,8 @@ pub fn smooth(nnf: &Nnf, groups: &[Vec<Lit>]) -> Nnf {
             }
         })
         .collect();
-    let root_missing = missing_groups(&sets, nnf.root() as usize, &full);
-    let mut root = map[nnf.root() as usize];
-    if !root_missing.is_empty() {
-        let mut parts = vec![root];
-        parts.extend(root_missing.iter().map(|&g| gadgets[g]));
-        root = b.and(parts);
-    }
+    let root = nnf.root() as usize;
+    let root = pad(&mut b, map[root], &sets[root * blocks..][..blocks], &full);
     b.extract(root)
 }
 
@@ -275,5 +317,56 @@ mod tests {
         w.set(3, C_ZERO, C_ONE);
         // v4 both polarities weight 1 → sums to 2 over v4.
         assert!(evaluate(&s, &w).approx_eq(Complex::real(2.0), 1e-12));
+    }
+
+    #[test]
+    fn smoothing_factors_parameter_only_children() {
+        // Query variable v1; v3..v6 stand for parameters.
+        // (v1 ∧ v3 ∧ v4) ∨ (v5 ∧ v6): the left product has two
+        // parameter-only children, and the right one mentions no query
+        // variable, so the padding multiplies it by v1's gadget.
+        let mut b = NnfBuilder::new();
+        let [l1, l3, l4, l5, l6] = [1, 3, 4, 5, 6].map(|l| b.lit(l));
+        let left = b.and([l1, l3, l4]);
+        let right = b.and([l5, l6]);
+        let root = b.or(left, right);
+        let s = smooth(&b.extract(root), &[vec![1, -1]]);
+        // Per node: does it mention v1? Count the products that do and
+        // keep two or more children that do not, and the products whose
+        // child is a product (the factored ones).
+        let mut mentions = Vec::new();
+        let (mut unfactored, mut nested) = (0, 0);
+        for node in s.nodes() {
+            let m = match node {
+                NnfNode::Lit(l) => l.abs() == 1,
+                NnfNode::Or(a, c) => mentions[*a as usize] || mentions[*c as usize],
+                NnfNode::And(cs) => {
+                    let free = cs.iter().filter(|&&c| !mentions[c as usize]).count();
+                    let m = free < cs.len();
+                    unfactored += usize::from(m && free >= 2);
+                    nested += cs
+                        .iter()
+                        .filter(|&&c| matches!(s.nodes()[c as usize], NnfNode::And(_)))
+                        .count();
+                    m
+                }
+                _ => false,
+            };
+            mentions.push(m);
+        }
+        assert_eq!(unfactored, 0);
+        assert_eq!(nested, 2, "one factored product per side");
+        // Values are the unfactored ones: x·w3·w4 + (x + y)·w5·w6.
+        let mut w = AcWeights::uniform(6);
+        let (x, y) = (Complex::new(0.3, -0.2), Complex::new(-0.7, 0.4));
+        w.set(1, x, y);
+        let p: Vec<Complex> = (3..=6)
+            .map(|v| Complex::new(0.1 * v as f64, 1.0 / v as f64))
+            .collect();
+        for (v, &pv) in (3..=6).zip(&p) {
+            w.set(v, pv, C_ZERO);
+        }
+        let want = x * p[0] * p[1] + (x + y) * p[2] * p[3];
+        assert!(evaluate(&s, &w).approx_eq(want, 1e-12));
     }
 }

@@ -50,6 +50,33 @@ fn bernstein_vazirani_recovers_secret_via_kc_sampling() {
     }
 }
 
+/// Every seed's chain reads the secret. Of the 32 output states only the
+/// secret's two (ancilla 0 and 1) have nonzero amplitude, and a
+/// magnitude-weighted model draw can land on a cancelled one on every
+/// redraw. The chain must then still find the support before warm-up,
+/// because from a density-0 state every coordinate column is zero.
+#[test]
+fn bernstein_vazirani_sampling_reads_the_secret_from_every_seed() {
+    let n = 4;
+    let secret = 0b1011;
+    let sim = KcSimulator::compile(&bernstein_vazirani_circuit(n, secret), &Default::default());
+    let bound = sim.bind(&ParamMap::new()).expect("bind");
+    for seed in 0..200 {
+        let mut sampler = bound.sampler(&GibbsOptions {
+            warmup: 100,
+            seed,
+            ..Default::default()
+        });
+        for outcome in sampler.sample_outputs(50, 1) {
+            assert_eq!(
+                outcome >> 1,
+                secret,
+                "seed {seed}: every sample reads the secret"
+            );
+        }
+    }
+}
+
 #[test]
 fn hidden_shift_recovers_shift_via_kc() {
     let shift = 0b0110;

@@ -9,15 +9,20 @@
 //! the true phase before the false phase. A change to the search's data
 //! structures must keep all of that, so any differing constant here means
 //! the compiler's output changed, not just its speed.
+//!
+//! A second table pins the size of the tape the whole pipeline lowers for
+//! four benchmark structures, after `smooth` has factored the
+//! parameter-only children out of every query-dependent product.
 
 use qkc::bayesnet::BayesNet;
-use qkc::circuit::{Circuit, NoiseChannel};
+use qkc::circuit::{Circuit, NoiseChannel, Param};
 use qkc::cnf::{encode, simplify, Cnf, Lit};
+use qkc::kc::KcSimulator;
 use qkc::knowledge::{
     compile, wire_checksum, CompileOptions, VarOrder, DEFAULT_SEPARATOR_BALANCE,
     RACE_SEPARATOR_BALANCE,
 };
-use qkc::workloads::{Graph, QaoaMaxCut};
+use qkc::workloads::{Graph, QaoaMaxCut, VqeIsing};
 
 /// `(case, order, cache) → (c2d checksum, decisions, cache hits)`.
 type Pin = (&'static str, VarOrder, bool, u64, u64, u64);
@@ -165,4 +170,63 @@ fn compiler_output_is_pinned() {
         actual == PINNED,
         "compiled output changed; actual:\n{table}"
     );
+}
+
+/// `(structure, tape ops, tape edges)` of the pipeline's default compile.
+/// Tape edges are the CSR child references of products with three or more
+/// children. The comments give the sizes before `smooth` factored
+/// products: a change that flattens the factored child products back into
+/// their parents fails here instead of only slowing every delta pass.
+#[rustfmt::skip]
+const FACTORED_TAPES: &[(&str, usize, usize)] = &[
+    ("qaoa-sweep", 3567, 9904),        // unfactored: 3149 ops, 22646 edges
+    ("maqaoa-grad", 4207, 13176),      // unfactored: 3725 ops, 25510 edges
+    ("noisy-vqe-sample", 7767, 17848), // unfactored: 7069 ops, 40690 edges
+    ("qaoa8-p1-s11", 513, 970),        // unfactored: 421 ops, 1440 edges
+];
+
+/// The structures of vqbench's four workloads: qaoa-sweep's QAOA p=2,
+/// maqaoa-grad's multi-angle QAOA p=2, noisy-vqe-sample's noisy VQE, and
+/// a QAOA p=1 structure of the kind compile-churn compiles.
+fn benchmark_structures() -> Vec<(&'static str, Circuit)> {
+    let graph = Graph::random_regular(8, 3, 3);
+    let mut multi_angle = Circuit::new(8);
+    for q in 0..8 {
+        multi_angle.h(q);
+    }
+    for layer in 0..2 {
+        for (e, &(a, b)) in graph.edges().iter().enumerate() {
+            multi_angle.zz(a, b, Param::symbol(format!("g{layer}_{e}")));
+        }
+        for q in 0..8 {
+            multi_angle.rx(q, Param::symbol(format!("b{layer}_{q}")));
+        }
+    }
+    let noisy_vqe = VqeIsing::new(4, 3, 1)
+        .circuit()
+        .with_noise_after_each_gate(&NoiseChannel::depolarizing(0.01));
+    vec![
+        (
+            "qaoa-sweep",
+            QaoaMaxCut::new(Graph::random_regular(8, 3, 4), 2).circuit(),
+        ),
+        ("maqaoa-grad", multi_angle),
+        ("noisy-vqe-sample", noisy_vqe),
+        (
+            "qaoa8-p1-s11",
+            QaoaMaxCut::new(Graph::random_regular(8, 3, 11), 1).circuit(),
+        ),
+    ]
+}
+
+#[test]
+fn factored_tape_sizes_are_pinned() {
+    let actual: Vec<(&str, usize, usize)> = benchmark_structures()
+        .iter()
+        .map(|(name, circuit)| {
+            let sim = KcSimulator::compile(circuit, &Default::default());
+            (*name, sim.tape().num_ops(), sim.tape().num_edges())
+        })
+        .collect();
+    assert_eq!(actual, FACTORED_TAPES, "lowered tape sizes changed");
 }

@@ -2,14 +2,18 @@
 //! stack answers on the compiled tape (with delta evaluation and
 //! Gray-ordered basis sweeps) must stay **bit-for-bit** equal to the
 //! enum-walk reference path — on random pure and noisy circuits, through
-//! Gibbs sampling, and through a complete `SweepExecutor` run.
+//! Gibbs sampling, and through a complete `SweepExecutor` run. The same
+//! random circuits also check the shape the tape is lowered from: every
+//! query-dependent product keeps its parameter-only factors in one child.
 
 use proptest::prelude::*;
 use qkc::circuit::{Circuit, NoiseChannel, Param, ParamMap};
+use qkc::cnf::Lit;
 use qkc::engine::{Engine, EngineOptions, SweepSpec};
 use qkc::kc::KcSimulator;
-use qkc::knowledge::{GibbsOptions, Nnf};
+use qkc::knowledge::{GibbsOptions, Nnf, NnfNode};
 use qkc::math::Complex;
+use std::collections::HashSet;
 
 /// A random parameterized circuit instruction; rotation angles reference
 /// one of two symbols so every circuit stays re-bindable.
@@ -188,6 +192,58 @@ proptest! {
         let tape_samples = bound.sampler(&options).sample_outputs(100, 1);
         let enum_samples = bound.sampler_enum_walk(&nnf, &options).sample_outputs(100, 1);
         prop_assert_eq!(tape_samples, enum_samples);
+    }
+}
+
+/// `(query-dependent products, those with two or more children that
+/// mention no query literal)` of `nnf`. A product is query-dependent when
+/// its subtree holds a literal of one of `groups`.
+fn query_dependent_products(nnf: &Nnf, groups: &[Vec<Lit>]) -> (usize, usize) {
+    let query: HashSet<u32> = groups.iter().flatten().map(|l| l.unsigned_abs()).collect();
+    let mut mentions: Vec<bool> = Vec::with_capacity(nnf.num_nodes());
+    let (mut products, mut unfactored) = (0, 0);
+    for node in nnf.nodes() {
+        let m = match node {
+            NnfNode::True | NnfNode::False => false,
+            NnfNode::Lit(l) => query.contains(&l.unsigned_abs()),
+            NnfNode::Or(a, b) => mentions[*a as usize] || mentions[*b as usize],
+            NnfNode::And(cs) => {
+                let free = cs.iter().filter(|&&c| !mentions[c as usize]).count();
+                let m = free < cs.len();
+                products += usize::from(m);
+                unfactored += usize::from(m && free >= 2);
+                m
+            }
+        };
+        mentions.push(m);
+    }
+    (products, unfactored)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// After `smooth`, no query-dependent product has two or more children
+    /// that mention no query literal: its parameter-only factors are one
+    /// child product, which delta passes never revisit between binds.
+    /// Pure circuits and circuits with one noise channel of each kind.
+    #[test]
+    fn query_dependent_products_keep_one_parameter_only_child(
+        instrs in proptest::collection::vec(arb_instr(3), 1..12),
+        noise in 0usize..5,
+        noise_q in 0usize..3,
+    ) {
+        let mut c = build(3, &instrs);
+        match noise {
+            0 => c.depolarize(noise_q, 0.05),
+            1 => c.amplitude_damp(noise_q, 0.05),
+            2 => c.phase_damp(noise_q, 0.05),
+            3 => c.bit_flip(noise_q, 0.05),
+            _ => &mut c, // pure
+        };
+        let (sim, nnf) = KcSimulator::compile_with_nnf(&c, &Default::default());
+        let (products, unfactored) = query_dependent_products(&nnf, &sim.smoothness_groups());
+        prop_assert_eq!(unfactored, 0, "of {} query-dependent products", products);
     }
 }
 
